@@ -55,6 +55,7 @@ pub mod cache;
 pub mod experiment;
 pub mod flow;
 pub mod passes;
+mod replay;
 pub mod retrofit;
 pub mod rewrite;
 mod style;

@@ -24,10 +24,12 @@
 //!    `n` sub-steps holding the same selects and functions), schedule each
 //!    register's load on its own phase's sub-step, convert every DFF to a
 //!    latch, and flatten back to a [`Netlist`].
-//! 5. **Verify** — simulate original and converted designs over identical
-//!    stimulus and require bit-identical outputs per computation, then
-//!    price both with the Monte-Carlo power estimator
-//!    ([`verify_retrofit`]).
+//! 5. **Verify** — compile original and converted designs once each into
+//!    the multi-seed kernel, sweep every seed's stimulus (drawn once,
+//!    bound to both designs by port name) through both a lane chunk at a
+//!    time, require bit-identical outputs per computation, then price
+//!    both from the same sweep's activities with the Monte-Carlo power
+//!    estimator ([`verify_retrofit`]).
 //!
 //! The converted design computes at `f/n` per phase — throughput per
 //! computation drops by the reported latency factor `n` — but every latch
@@ -43,11 +45,10 @@ use mc_rtl::discipline::check_latch_discipline;
 use mc_rtl::hier::{Cell, Circuit, CircuitWord, HierError};
 use mc_rtl::import::{from_mcnl, from_vhdl, ImportError};
 use mc_rtl::{Netlist, Path, PowerMode};
-use mc_sim::{
-    simulate, try_simulate_with_inputs, Activity, BatchBackend, BitslicedProgram, SimConfig,
-    SimError, Stimulus,
-};
+use mc_sim::{simulate, BatchBackend, SimConfig, SimError};
 use mc_tech::{MemKind, TechLibrary};
+
+use crate::replay::{replay, Failure, Plan};
 
 /// Errors from the retrofit flow.
 #[derive(Debug)]
@@ -593,15 +594,18 @@ pub struct RetrofitOptions {
     pub computations: usize,
     /// Stimulus seeds (one Monte-Carlo sample each).
     pub seeds: Vec<u64>,
-    /// Fan the per-seed simulations over scoped threads. The report is
-    /// bit-identical either way; parallelism only changes wall-clock.
+    /// Accepted for compatibility and ignored: verification compiles
+    /// each design once and sweeps the seeds through the multi-seed
+    /// kernel on the calling thread. The report is bit-identical either
+    /// way.
     pub parallel: bool,
-    /// The simulation kernel verifying the seeds: [`BatchBackend::Batched`]
-    /// runs one scalar simulation per seed (optionally in parallel),
-    /// [`BatchBackend::Bitsliced`] sweeps the whole seed population
-    /// through the bit-plane kernel in one pass. Per-seed activities and
+    /// The multi-seed kernel both designs compile into, once each:
+    /// [`BatchBackend::Batched`] sweeps [`Flow::DEFAULT_BATCH`] seeds per
+    /// pass, [`BatchBackend::Bitsliced`] 64. Per-seed activities and
     /// outputs are bit-identical either way, so the report never encodes
     /// the backend.
+    ///
+    /// [`Flow::DEFAULT_BATCH`]: crate::Flow::DEFAULT_BATCH
     pub backend: BatchBackend,
     /// The technology library pricing both designs.
     pub tech: TechLibrary,
@@ -642,89 +646,13 @@ pub struct RetrofitReport {
     pub seeds: usize,
 }
 
-/// Finds the first output divergence between the two designs' runs for
-/// one seed — the shared check of the scalar and bit-sliced paths, so
-/// both report the identical [`RetrofitMismatch`].
-fn check_outputs(
-    seed: u64,
-    orig: &[BTreeMap<String, u64>],
-    conv: &[BTreeMap<String, u64>],
-) -> Result<(), RetrofitError> {
-    for (c, (o, v)) in orig.iter().zip(conv).enumerate() {
-        if o != v {
-            let (port, original, converted) = o
-                .iter()
-                .find_map(|(name, &ov)| {
-                    let cv = v.get(name).copied().unwrap_or(u64::MAX);
-                    (cv != ov).then(|| (name.clone(), ov, cv))
-                })
-                .unwrap_or_else(|| ("<ports>".to_owned(), 0, 0));
-            return Err(RetrofitError::Diverged(Box::new(RetrofitMismatch {
-                seed,
-                computation: c,
-                port,
-                original,
-                converted,
-            })));
-        }
-    }
-    Ok(())
-}
-
-/// Simulates one seed on both designs and checks output equivalence.
-fn run_seed(
-    r: &Retrofit,
-    computations: usize,
-    seed: u64,
-) -> Result<(Activity, Activity), RetrofitError> {
-    let vectors = Stimulus::UniformRandom
-        .flat_vectors(&r.original, computations, seed)
-        .to_vectors();
-    let orig = try_simulate_with_inputs(&r.original, PowerMode::non_gated(), &vectors, false)?;
-    let conv = try_simulate_with_inputs(&r.converted, PowerMode::multiclock(), &vectors, false)?;
-    check_outputs(seed, &orig.outputs, &conv.outputs)?;
-    Ok((orig.activity, conv.activity))
-}
-
-/// Bit-sliced path: sweeps the whole seed population through the
-/// bit-plane kernel on both designs at once. Each seed's stimulus is the
-/// same [`Stimulus::UniformRandom`] draw the scalar path makes, seeds are
-/// checked in schedule order and computations in order within a seed, so
-/// the first reported divergence — and every activity — is bit-identical
-/// to [`run_seed`] over the same schedule.
-fn run_seeds_bitsliced(
-    r: &Retrofit,
-    computations: usize,
-    seeds: &[u64],
-) -> Result<Vec<(Activity, Activity)>, RetrofitError> {
-    let vectors: Vec<Vec<BTreeMap<String, u64>>> = seeds
-        .iter()
-        .map(|&seed| {
-            Stimulus::UniformRandom
-                .flat_vectors(&r.original, computations, seed)
-                .to_vectors()
-        })
-        .collect();
-    let orig = BitslicedProgram::compile(&r.original, PowerMode::non_gated())
-        .run_vectors(&vectors, false)?;
-    let conv = BitslicedProgram::compile(&r.converted, PowerMode::multiclock())
-        .run_vectors(&vectors, false)?;
-    for ((&seed, o), v) in seeds.iter().zip(&orig).zip(&conv) {
-        check_outputs(seed, &o.outputs, &v.outputs)?;
-    }
-    Ok(orig
-        .into_iter()
-        .zip(conv)
-        .map(|(o, v)| (o.activity, v.activity))
-        .collect())
-}
-
 /// Verifies a retrofit — bit-identical outputs over every seed — and
 /// prices both designs with the Monte-Carlo estimator.
 ///
-/// Deterministic: sequential and parallel runs produce bit-identical
-/// reports (per-seed work is independent; results are reduced in seed
-/// order).
+/// Deterministic: every backend and `parallel` setting produces the
+/// bit-identical report (per-seed work is independent; results are
+/// reduced in seed order), and the first divergence is reported in
+/// seed, computation, then port-name order.
 ///
 /// # Errors
 ///
@@ -739,51 +667,43 @@ pub fn verify_retrofit(
         !opts.seeds.is_empty(),
         "verification needs at least one seed"
     );
-    let pairs: Vec<Result<(Activity, Activity), RetrofitError>> =
-        if opts.backend == BatchBackend::Bitsliced {
-            // One population sweep per design; `parallel` is moot here.
-            match run_seeds_bitsliced(r, opts.computations, &opts.seeds) {
-                Ok(pairs) => pairs.into_iter().map(Ok).collect(),
-                Err(e) => vec![Err(e)],
-            }
-        } else if opts.parallel {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = opts
-                    .seeds
-                    .iter()
-                    .map(|&seed| {
-                        s.spawn(move || {
-                            let out = run_seed(r, opts.computations, seed);
-                            mc_trace::flush();
-                            out
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("seed worker panicked"))
-                    .collect()
-            })
-        } else {
-            opts.seeds
-                .iter()
-                .map(|&seed| run_seed(r, opts.computations, seed))
-                .collect()
-        };
-    let mut orig_acts = Vec::with_capacity(pairs.len());
-    let mut conv_acts = Vec::with_capacity(pairs.len());
-    for p in pairs {
-        let (o, c) = p?;
-        orig_acts.push(o);
-        conv_acts.push(c);
-    }
-    let original =
-        evaluate_design_monte_carlo(&r.original, PowerMode::non_gated(), &opts.tech, &orig_acts);
+    let plan = Plan {
+        computations: opts.computations,
+        seeds: &opts.seeds,
+        backend: opts.backend,
+    };
+    let replayed = replay(
+        (&r.original, PowerMode::non_gated()),
+        (&r.converted, PowerMode::multiclock()),
+        &plan,
+    )
+    .map_err(|f| match f {
+        Failure::Sim(e) => RetrofitError::Sim(e),
+        Failure::Diverged {
+            seed,
+            computation,
+            port,
+            reference,
+            candidate,
+        } => RetrofitError::Diverged(Box::new(RetrofitMismatch {
+            seed,
+            computation,
+            port,
+            original: reference,
+            converted: candidate,
+        })),
+    })?;
+    let original = evaluate_design_monte_carlo(
+        &r.original,
+        PowerMode::non_gated(),
+        &opts.tech,
+        &replayed.reference,
+    );
     let converted = evaluate_design_monte_carlo(
         &r.converted,
         PowerMode::multiclock(),
         &opts.tech,
-        &conv_acts,
+        &replayed.candidate,
     );
     let power_reduction_pct = 100.0 * converted.power.reduction_vs(&original.power);
     Ok(RetrofitReport {
@@ -909,10 +829,10 @@ mod tests {
     }
 
     #[test]
-    fn bitsliced_verification_is_bit_identical_to_scalar() {
+    fn bitsliced_verification_is_bit_identical_to_batched() {
         let nl = conventional(&benchmarks::biquad());
         let r = retrofit_netlist(nl, 2).expect("retrofits");
-        let scalar = RetrofitOptions {
+        let batched = RetrofitOptions {
             computations: 40,
             seeds: mc_power::derive_seeds(11, 5),
             backend: BatchBackend::Batched,
@@ -920,9 +840,9 @@ mod tests {
         };
         let sliced = RetrofitOptions {
             backend: BatchBackend::Bitsliced,
-            ..scalar.clone()
+            ..batched.clone()
         };
-        let a = verify_retrofit(&r, &scalar).unwrap();
+        let a = verify_retrofit(&r, &batched).unwrap();
         let b = verify_retrofit(&r, &sliced).unwrap();
         assert_eq!(
             a.original.power.total_mw.to_bits(),

@@ -11,8 +11,8 @@
 //! and serve it from structural dedup.
 //!
 //! Soundness is never assumed: [`verify_rewrite`] replays the rewritten
-//! behaviour against the original through the compiled simulation kernel
-//! on a Monte-Carlo seed schedule and demands bit-identical outputs per
+//! behaviour against the original through the multi-seed simulation
+//! kernel on a Monte-Carlo seed schedule and demands bit-identical outputs per
 //! seed × computation, reporting the first divergence as a typed
 //! [`RewriteError::Diverged`] — the same contract as the retrofit
 //! verifier. The explorer refuses to score any rewritten point whose
@@ -38,9 +38,10 @@ use std::fmt;
 use mc_dfg::benchmarks::Benchmark;
 use mc_dfg::{Dfg, DfgBuilder, NodeId, Op, Operand, Schedule};
 use mc_rtl::PowerMode;
-use mc_sim::{try_simulate_with_inputs, SimError, Stimulus};
+use mc_sim::{BatchBackend, SimError};
 
 use crate::passes::Behavior;
+use crate::replay::{replay, Failure, Plan};
 use crate::style::DesignStyle;
 use crate::synthesizer::{SynthesisError, Synthesizer};
 
@@ -361,12 +362,12 @@ impl Default for RewriteOptions {
     }
 }
 
-/// Verifies a rewrite by replaying both behaviours through the compiled
-/// simulation kernel: both are synthesised as conventional non-gated
-/// designs, driven with *identical* per-seed stimulus vectors (generated
-/// from the original design, whose input ports the rewrite preserves),
-/// and required to produce bit-identical outputs for every
-/// seed × computation.
+/// Verifies a rewrite by replaying both behaviours through the default
+/// multi-seed kernel: both are synthesised as conventional non-gated
+/// designs, compiled once each, driven with *identical* per-seed
+/// stimulus (drawn from the original design and bound to each design's
+/// inputs by port name), and required to produce bit-identical outputs
+/// for every seed × computation.
 ///
 /// # Errors
 ///
@@ -391,31 +392,32 @@ pub fn verify_rewrite(
     };
     let orig_nl = synth(original)?;
     let rewr_nl = synth(rewritten)?;
-    for &seed in &opts.seeds {
-        let vectors = Stimulus::UniformRandom
-            .flat_vectors(&orig_nl, opts.computations, seed)
-            .to_vectors();
-        let orig = try_simulate_with_inputs(&orig_nl, PowerMode::non_gated(), &vectors, false)?;
-        let rewr = try_simulate_with_inputs(&rewr_nl, PowerMode::non_gated(), &vectors, false)?;
-        for (c, (o, r)) in orig.outputs.iter().zip(&rewr.outputs).enumerate() {
-            if o != r {
-                let (port, original, rewritten) = o
-                    .iter()
-                    .find_map(|(name, &ov)| {
-                        let rv = r.get(name).copied().unwrap_or(u64::MAX);
-                        (rv != ov).then(|| (name.clone(), ov, rv))
-                    })
-                    .unwrap_or_else(|| ("<ports>".to_owned(), 0, 0));
-                return Err(RewriteError::Diverged(Box::new(RewriteMismatch {
-                    seed,
-                    computation: c,
-                    port,
-                    original,
-                    rewritten,
-                })));
-            }
-        }
-    }
+    let plan = Plan {
+        computations: opts.computations,
+        seeds: &opts.seeds,
+        backend: BatchBackend::default(),
+    };
+    replay(
+        (&orig_nl, PowerMode::non_gated()),
+        (&rewr_nl, PowerMode::non_gated()),
+        &plan,
+    )
+    .map_err(|f| match f {
+        Failure::Sim(e) => RewriteError::Sim(e),
+        Failure::Diverged {
+            seed,
+            computation,
+            port,
+            reference,
+            candidate,
+        } => RewriteError::Diverged(Box::new(RewriteMismatch {
+            seed,
+            computation,
+            port,
+            original: reference,
+            rewritten: candidate,
+        })),
+    })?;
     if mc_trace::enabled() {
         mc_trace::count("rewrite.verified", 1);
         mc_trace::count(

@@ -176,7 +176,8 @@ pub struct RetrofitRequest {
     pub computations: usize,
     /// Base stimulus seed (default 42).
     pub seed: u64,
-    /// Verify seeds on scoped threads (bit-identical either way).
+    /// Accepted for compatibility; verification ignores it
+    /// (bit-identical either way).
     pub parallel: bool,
     /// Multi-seed simulation kernel (never changes results).
     pub backend: BatchBackend,

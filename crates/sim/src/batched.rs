@@ -39,14 +39,12 @@
 //! would defeat the point; the scalar path covers VCD export and
 //! debugging).
 
-use std::collections::BTreeMap;
-
 use mc_dfg::Op;
 use mc_rtl::{Netlist, PowerMode};
 
 use crate::activity::{Activity, StepActivity};
 use crate::compiled::{CompiledNetlist, Instr};
-use crate::engine::{BoundInputs, SimResult};
+use crate::engine::{BoundInputs, SimResult, StreamRun};
 
 /// Widest supported lane count. Wider batches stop paying off once the
 /// SoA working set falls out of cache; requests beyond this are clamped.
@@ -94,17 +92,16 @@ impl<'a> BatchedProgram<'a> {
     ) -> Vec<SimResult> {
         seeds
             .chunks(self.lanes)
-            .flat_map(|chunk| self.run_batch(computations, chunk, collect_profile, true))
+            .flat_map(|chunk| self.run_seed_batch(computations, chunk, collect_profile, true))
+            .map(|r| r.into_sim_result(self.program.netlist))
             .collect()
     }
 
-    /// Like [`BatchedProgram::run_seeds`] but skips the per-computation
-    /// output maps and returns only each lane's [`Activity`] — the form
-    /// Monte-Carlo power estimation consumes. Building a
-    /// `BTreeMap<String, u64>` per (computation, lane) costs more than a
-    /// quarter of a batched run on the paper workloads, and the power
-    /// model never reads it; the activity counters are still
-    /// bit-identical to scalar runs with the same seeds.
+    /// Like [`BatchedProgram::run_seeds`] but skips output collection and
+    /// returns only each lane's [`Activity`] — the form Monte-Carlo power
+    /// estimation consumes. The power model never reads outputs, and the
+    /// activity counters are still bit-identical to scalar runs with the
+    /// same seeds.
     #[must_use]
     pub fn run_seeds_activity(
         &self,
@@ -114,43 +111,63 @@ impl<'a> BatchedProgram<'a> {
     ) -> Vec<Activity> {
         seeds
             .chunks(self.lanes)
-            .flat_map(|chunk| self.run_batch(computations, chunk, collect_profile, false))
+            .flat_map(|chunk| self.run_seed_batch(computations, chunk, collect_profile, false))
             .map(|r| r.activity)
             .collect()
     }
 
-    /// Runs one batch of `seeds.len() <= lanes` seeds through a single
-    /// sweep.
+    /// Runs explicit input streams, [`lanes`](BatchedProgram::lanes) at a
+    /// time; see [`SeedKernel::run_streams`](crate::SeedKernel::run_streams).
+    pub(crate) fn run_streams(&self, computations: usize, streams: &[Vec<u64>]) -> Vec<StreamRun> {
+        streams
+            .chunks(self.lanes)
+            .flat_map(|chunk| self.run_batch(computations, chunk, false, true))
+            .collect()
+    }
+
+    /// Draws one batch's random streams — lane `l` gets the masked stream
+    /// [`BoundInputs::random`] draws for a scalar run with `seeds[l]` —
+    /// and runs them.
+    fn run_seed_batch(
+        &self,
+        computations: usize,
+        seeds: &[u64],
+        collect_profile: bool,
+        collect_outputs: bool,
+    ) -> Vec<StreamRun> {
+        let flats: Vec<Vec<u64>> = seeds
+            .iter()
+            .map(|&seed| BoundInputs::random(self.program.netlist, computations, seed).flat)
+            .collect();
+        self.run_batch(computations, &flats, collect_profile, collect_outputs)
+    }
+
+    /// Runs one batch of `flats.len() <= lanes` input streams through a
+    /// single sweep.
     ///
     /// Dispatches to a monomorphized kernel for the next power-of-two
     /// lane width: with the width a compile-time constant every row loop
     /// has a known trip count, so LLVM unrolls and vectorizes them —
     /// with a runtime width the same loops run a generic scalar path and
     /// the batch amortization is lost in slicing overhead. Partial
-    /// batches are padded with copies of the last seed (lanes are
-    /// independent, so padding changes nothing) and truncated after.
+    /// batches are padded with the last stream (lanes are independent,
+    /// so padding changes nothing) and truncated after.
     fn run_batch(
         &self,
         computations: usize,
-        seeds: &[u64],
+        flats: &[Vec<u64>],
         collect_profile: bool,
         collect_outputs: bool,
-    ) -> Vec<SimResult> {
-        let wanted = seeds.len();
+    ) -> Vec<StreamRun> {
+        let wanted = flats.len();
         debug_assert!((1..=MAX_LANES).contains(&wanted));
-        let mut padded = Vec::new();
+        let mut padded: Vec<&[u64]> = flats.iter().map(Vec::as_slice).collect();
         macro_rules! dispatch {
             ($($w:literal),+) => {
                 $(if wanted <= $w {
-                    let seeds = if wanted == $w {
-                        seeds
-                    } else {
-                        padded.extend_from_slice(seeds);
-                        padded.resize($w, *seeds.last().expect("non-empty batch"));
-                        &padded
-                    };
+                    padded.resize($w, padded[wanted - 1]);
                     let mut results =
-                        self.run_batch_impl::<$w>(computations, seeds, collect_profile, collect_outputs);
+                        self.run_batch_impl::<$w>(computations, &padded, collect_profile, collect_outputs);
                     results.truncate(wanted);
                     self.trace_batch(computations, wanted, $w, &results);
                     return results;
@@ -166,7 +183,7 @@ impl<'a> BatchedProgram<'a> {
     /// is the scalar analytic count times the *active* lane count —
     /// padded lanes are truncated away and do not count as work, keeping
     /// `sim.instructions` independent of the configured batch width.
-    fn trace_batch(&self, computations: usize, wanted: usize, width: usize, results: &[SimResult]) {
+    fn trace_batch(&self, computations: usize, wanted: usize, width: usize, results: &[StreamRun]) {
         if !mc_trace::enabled() {
             return;
         }
@@ -193,34 +210,29 @@ impl<'a> BatchedProgram<'a> {
 
     /// The monomorphized batch kernel: exactly `L` lanes, `L` a
     /// compile-time constant so every row loop unrolls.
+    ///
+    /// `flats[l][c * ni + i]` is lane `l`'s value for input `i` of
+    /// computation `c`. The streams stay lane-flat and rows are gathered
+    /// on the fly at the (rare) input-drive steps: transposing them into
+    /// one lane-major buffer up front would scatter half a million stores
+    /// across cache lines and cost more than the whole instruction sweep.
     fn run_batch_impl<const L: usize>(
         &self,
         computations: usize,
-        seeds: &[u64],
+        flats: &[&[u64]],
         collect_profile: bool,
         collect_outputs: bool,
-    ) -> Vec<SimResult> {
+    ) -> Vec<StreamRun> {
         let p = &self.program;
         let nl = p.netlist;
-        debug_assert_eq!(seeds.len(), L);
+        debug_assert_eq!(flats.len(), L);
         let lanes = L;
         let ni = p.input_nets.len();
+        debug_assert!(flats.iter().all(|f| f.len() == computations * ni));
         let n_nets = nl.num_nets();
         let nc = p.num_comps;
         let width = p.width;
         let mask = p.mask;
-
-        // Per-lane flat stimulus streams: flats[l][c * ni + i] is lane
-        // l's value for input i of computation c — the same masked stream
-        // BoundInputs::random draws for a scalar run with seeds[l]. The
-        // streams stay lane-flat and rows are gathered on the fly at the
-        // (rare) input-drive steps: transposing them into one lane-major
-        // buffer up front would scatter half a million stores across
-        // cache lines and cost more than the whole instruction sweep.
-        let flats: Vec<Vec<u64>> = seeds
-            .iter()
-            .map(|&seed| BoundInputs::random(nl, computations, seed).flat)
-            .collect();
 
         // Lane-major state and data-dependent counters.
         let mut nets = vec![0u64; n_nets * lanes];
@@ -256,15 +268,20 @@ impl<'a> BatchedProgram<'a> {
         let mut row_a = vec![0u64; lanes];
         let mut row_b = vec![0u64; lanes];
         let mut capture_buf = vec![0u64; p.max_captures * lanes];
-        let mut outputs: Vec<Vec<BTreeMap<String, u64>>> =
-            vec![Vec::with_capacity(computations); lanes];
+        let output_nets: Vec<usize> = nl.outputs().iter().map(|(_, n)| n.index()).collect();
+        let rows = if collect_outputs {
+            computations * output_nets.len()
+        } else {
+            0
+        };
+        let mut outputs: Vec<Vec<u64>> = vec![Vec::with_capacity(rows); lanes];
 
         // Reset preload (silent: no activity counted).
         if computations > 0 {
             for (i, &net) in p.input_nets.iter().enumerate() {
                 let base = net as usize * lanes;
-                for (slot, f) in nets[base..base + lanes].iter_mut().zip(&flats) {
-                    *slot = f[i];
+                for (slot, f) in nets[base..base + lanes].iter_mut().zip(flats) {
+                    *slot = f[i] & mask;
                 }
             }
             for instr in &p.preload_instrs {
@@ -302,7 +319,7 @@ impl<'a> BatchedProgram<'a> {
                 if t == p.period && c + 1 < computations {
                     let base = (c + 1) * ni;
                     for (i, &net) in p.input_nets.iter().enumerate() {
-                        for (slot, f) in row_a.iter_mut().zip(&flats) {
+                        for (slot, f) in row_a.iter_mut().zip(flats) {
                             *slot = f[base + i];
                         }
                         set_net_row(
@@ -425,12 +442,7 @@ impl<'a> BatchedProgram<'a> {
             }
             if collect_outputs {
                 for (l, lane_outputs) in outputs.iter_mut().enumerate() {
-                    let out: BTreeMap<String, u64> = nl
-                        .outputs()
-                        .iter()
-                        .map(|(name, net)| (name.clone(), nets[net.index() * lanes + l]))
-                        .collect();
-                    lane_outputs.push(out);
+                    lane_outputs.extend(output_nets.iter().map(|&net| nets[net * lanes + l]));
                 }
             }
         }
@@ -457,11 +469,9 @@ impl<'a> BatchedProgram<'a> {
                 if let Some(ps) = per_step.as_mut() {
                     activity.per_step = Some(std::mem::take(&mut ps[l]));
                 }
-                SimResult {
+                StreamRun {
                     activity,
-                    inputs: Vec::new(),
                     outputs: lane_outputs,
-                    trace: None,
                 }
             })
             .collect()

@@ -75,7 +75,6 @@
 //! benchmark, mode, clock count and population size. Traces are not
 //! collected (as in batched mode, the scalar path covers VCD export).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use mc_dfg::Op;
@@ -85,7 +84,7 @@ use mc_rtl::{Netlist, PowerMode};
 use crate::activity::{Activity, StepActivity};
 use crate::batched::BatchedProgram;
 use crate::compiled::{Capture, CompiledNetlist, Instr, StepProgram};
-use crate::engine::{width_mask, BoundInputs, SimError, SimResult};
+use crate::engine::{width_mask, SimResult, StreamRun};
 
 /// The fixed population width of the bit-sliced kernel: one seed per
 /// bit of a `u64` plane.
@@ -422,12 +421,13 @@ impl<'a> BitslicedProgram<'a> {
                 let stim = self.stim_planes(computations, chunk);
                 self.run_stim(computations, &stim, chunk.len(), collect_profile, true)
             })
+            .map(|r| r.into_sim_result(self.program.netlist))
             .collect()
     }
 
-    /// Like [`BitslicedProgram::run_seeds`] but skips the
-    /// per-computation output maps and returns only each seed's
-    /// [`Activity`] — the form Monte-Carlo power estimation consumes.
+    /// Like [`BitslicedProgram::run_seeds`] but skips output collection
+    /// and returns only each seed's [`Activity`] — the form Monte-Carlo
+    /// power estimation consumes.
     #[must_use]
     pub fn run_seeds_activity(
         &self,
@@ -445,37 +445,16 @@ impl<'a> BitslicedProgram<'a> {
             .collect()
     }
 
-    /// Simulates one explicit input-vector stream per population member
-    /// (all streams the same length), in populations of up to
-    /// [`BITSLICE_LANES`] members per sweep. `results[k]` is
-    /// bit-identical to a scalar
-    /// [`simulate_with_inputs`](crate::simulate_with_inputs) run over
-    /// `vectors[k]`. This is the retrofit verifier's entry point, where
-    /// the stimulus is drawn once and replayed against two designs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError`] if a vector lacks a primary input.
-    pub fn run_vectors(
-        &self,
-        vectors: &[Vec<BTreeMap<String, u64>>],
-        collect_profile: bool,
-    ) -> Result<Vec<SimResult>, SimError> {
-        let computations = vectors.first().map_or(0, Vec::len);
-        debug_assert!(
-            vectors.iter().all(|v| v.len() == computations),
-            "population members must share one computation count"
-        );
-        let mut results = Vec::with_capacity(vectors.len());
-        for chunk in vectors.chunks(BITSLICE_LANES) {
-            let flats = chunk
-                .iter()
-                .map(|v| Ok(BoundInputs::bind(self.program.netlist, v)?.flat))
-                .collect::<Result<Vec<_>, SimError>>()?;
-            let stim = self.flats_to_stim(computations, &flats);
-            results.extend(self.run_stim(computations, &stim, flats.len(), collect_profile, true));
-        }
-        Ok(results)
+    /// Runs explicit input streams, [`BITSLICE_LANES`] per sweep; see
+    /// [`SeedKernel::run_streams`].
+    pub(crate) fn run_streams(&self, computations: usize, streams: &[Vec<u64>]) -> Vec<StreamRun> {
+        streams
+            .chunks(BITSLICE_LANES)
+            .flat_map(|chunk| {
+                let stim = self.flats_to_stim(computations, chunk);
+                self.run_stim(computations, &stim, chunk.len(), false, true)
+            })
+            .collect()
     }
 
     /// Draws one population's stimulus directly into plane form:
@@ -544,8 +523,10 @@ impl<'a> BitslicedProgram<'a> {
         stim
     }
 
-    /// Transposes pre-bound flat stimulus streams (one per member) into
-    /// the same plane layout as [`BitslicedProgram::stim_planes`].
+    /// Transposes explicit flat stimulus streams (one per member) into
+    /// the same plane layout as [`BitslicedProgram::stim_planes`]. Only
+    /// bits below the datapath width reach a plane, so the streams are
+    /// masked structurally.
     fn flats_to_stim(&self, computations: usize, flats: &[Vec<u64>]) -> Vec<u64> {
         let w = self.program.width as usize;
         let ni = self.program.input_nets.len();
@@ -572,7 +553,7 @@ impl<'a> BitslicedProgram<'a> {
         live: usize,
         collect_profile: bool,
         collect_outputs: bool,
-    ) -> Vec<SimResult> {
+    ) -> Vec<StreamRun> {
         macro_rules! dispatch {
             ($($w:literal),*) => {
                 match self.program.width {
@@ -595,7 +576,7 @@ impl<'a> BitslicedProgram<'a> {
         live: usize,
         collect_profile: bool,
         collect_outputs: bool,
-    ) -> Vec<SimResult> {
+    ) -> Vec<StreamRun> {
         let p = &self.program;
         let nl = p.netlist;
         debug_assert!((1..=BITSLICE_LANES).contains(&live));
@@ -621,8 +602,12 @@ impl<'a> BitslicedProgram<'a> {
             None
         };
         let mut prev = vec![StepActivity::default(); live];
-        let mut outputs: Vec<Vec<BTreeMap<String, u64>>> =
-            vec![Vec::with_capacity(computations); live];
+        let rows = if collect_outputs {
+            computations * nl.outputs().len()
+        } else {
+            0
+        };
+        let mut outputs: Vec<Vec<u64>> = vec![Vec::with_capacity(rows); live];
         let mut lane_vals = [0u64; BITSLICE_LANES];
 
         // Reset preload (silent: no activity counted, no generation
@@ -697,17 +682,13 @@ impl<'a> BitslicedProgram<'a> {
                 }
             }
             if collect_outputs {
-                for lane_outputs in &mut outputs {
-                    lane_outputs.push(BTreeMap::new());
-                }
-                for (name, net) in nl.outputs() {
+                for (_, net) in nl.outputs() {
                     gather_lanes(
                         &st.planes[net.index() * w..(net.index() + 1) * w],
                         &mut lane_vals,
                     );
-                    for (l, lane_outputs) in outputs.iter_mut().enumerate() {
-                        let map = lane_outputs.last_mut().expect("pushed above");
-                        map.insert(name.clone(), lane_vals[l]);
+                    for (lane_outputs, &v) in outputs.iter_mut().zip(&lane_vals) {
+                        lane_outputs.push(v);
                     }
                 }
             }
@@ -719,7 +700,7 @@ impl<'a> BitslicedProgram<'a> {
         // counters replicate verbatim. Dead lanes are never read —
         // that is the whole tail mask.
         let fn_comp = self.fn_totals(computations);
-        let results: Vec<SimResult> = outputs
+        let results: Vec<StreamRun> = outputs
             .into_iter()
             .enumerate()
             .map(|(l, lane_outputs)| {
@@ -742,11 +723,9 @@ impl<'a> BitslicedProgram<'a> {
                 if let Some(ps) = per_step.as_mut() {
                     activity.per_step = Some(std::mem::take(&mut ps[l]));
                 }
-                SimResult {
+                StreamRun {
                     activity,
-                    inputs: Vec::new(),
                     outputs: lane_outputs,
-                    trace: None,
                 }
             })
             .collect();
@@ -1564,7 +1543,8 @@ impl fmt::Display for BatchBackend {
 
 /// A compiled multi-seed kernel behind the [`BatchBackend`] switch —
 /// the one dispatch point every Monte-Carlo consumer (flow, explorer,
-/// retrofit, adaptive estimator) compiles through.
+/// retrofit and rewrite verification, adaptive estimator) compiles
+/// through.
 // One instance exists per Monte-Carlo run and it lives on the stack of
 // that run — the variant size gap never multiplies across a collection.
 #[allow(clippy::large_enum_variant)]
@@ -1644,6 +1624,23 @@ impl<'a> SeedKernel<'a> {
             SeedKernel::Bitsliced(p) => p.run_seeds_activity(computations, seeds, collect_profile),
         }
     }
+
+    /// Runs one explicit input stream per population member, a lane
+    /// chunk per sweep: `streams[k][c * n + i]` is the value of input
+    /// port `i` — in [`Netlist::inputs`] order, `n` ports — at
+    /// computation `c`, and every stream holds `computations` rows.
+    /// Values are masked to the datapath width. `runs[k]` is
+    /// bit-identical, on either backend, to a scalar
+    /// [`simulate_with_inputs`](crate::simulate_with_inputs) run over the
+    /// same rows, with its outputs as dense rows. This is the entry for
+    /// replaying one stimulus draw against several designs.
+    #[must_use]
+    pub fn run_streams(&self, computations: usize, streams: &[Vec<u64>]) -> Vec<StreamRun> {
+        match self {
+            SeedKernel::Batched(p) => p.run_streams(computations, streams),
+            SeedKernel::Bitsliced(p) => p.run_streams(computations, streams),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1704,23 +1701,46 @@ mod tests {
     }
 
     #[test]
-    fn explicit_vectors_match_scalar_simulation() {
+    fn explicit_streams_match_scalar_simulation_on_both_backends() {
         let nl = hal(3);
         let mode = PowerMode::non_gated();
-        let vectors: Vec<Vec<BTreeMap<String, u64>>> = [11u64, 22, 33]
-            .iter()
-            .map(|&seed| {
-                crate::stimulus::Stimulus::UniformRandom
-                    .flat_vectors(&nl, 5, seed)
-                    .to_vectors()
+        let computations = 5;
+        // Five members: a full and a partial chunk at 4 lanes. Values
+        // carry bits above the 4-bit width, which both kernels mask
+        // exactly as the scalar binding does.
+        let streams: Vec<Vec<u64>> = (0..5u64)
+            .map(|seed| {
+                let mut rng = mc_prng::Xoshiro256::seed_from_u64(seed);
+                (0..computations * nl.inputs().len())
+                    .map(|_| rng.next_u64() & 0xFF)
+                    .collect()
             })
             .collect();
-        let program = BitslicedProgram::compile(&nl, mode);
-        let sliced = program.run_vectors(&vectors, false).unwrap();
-        for (k, vecs) in vectors.iter().enumerate() {
-            let scalar = crate::try_simulate_with_inputs(&nl, mode, vecs, false).unwrap();
-            assert_eq!(sliced[k].activity, scalar.activity, "member {k}");
-            assert_eq!(sliced[k].outputs, scalar.outputs, "member {k}");
+        let ports = nl.outputs().len();
+        for backend in [BatchBackend::Batched, BatchBackend::Bitsliced] {
+            let runs =
+                SeedKernel::compile(&nl, mode, backend, 4).run_streams(computations, &streams);
+            assert_eq!(runs.len(), streams.len());
+            for (k, (stream, run)) in streams.iter().zip(&runs).enumerate() {
+                let vectors: Vec<std::collections::BTreeMap<String, u64>> = stream
+                    .chunks(nl.inputs().len())
+                    .map(|row| {
+                        nl.inputs()
+                            .iter()
+                            .zip(row)
+                            .map(|((name, _), &v)| (name.clone(), v))
+                            .collect()
+                    })
+                    .collect();
+                let scalar = crate::try_simulate_with_inputs(&nl, mode, &vectors, false).unwrap();
+                assert_eq!(run.activity, scalar.activity, "{backend} member {k}");
+                assert_eq!(run.outputs.len(), computations * ports);
+                assert_eq!(
+                    run.clone().into_sim_result(&nl).outputs,
+                    scalar.outputs,
+                    "{backend} member {k}"
+                );
+            }
         }
     }
 

@@ -171,6 +171,41 @@ pub struct SimResult {
     pub trace: Option<Vec<Vec<u64>>>,
 }
 
+/// One population member's run through a multi-seed kernel: its
+/// activity plus its outputs as dense rows rather than name-keyed maps.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamRun {
+    /// Switching activity counters.
+    pub activity: Activity,
+    /// `outputs[c * n + k]` is output port `k` — in [`Netlist::outputs`]
+    /// order, `n` ports — at the end of computation `c`. Empty when the
+    /// run skipped output collection.
+    pub outputs: Vec<u64>,
+}
+
+impl StreamRun {
+    /// The scalar-result form: one name-keyed output map per computation.
+    pub(crate) fn into_sim_result(self, netlist: &Netlist) -> SimResult {
+        let ports = netlist.outputs();
+        let outputs = (0..self.activity.computations as usize)
+            .map(|c| {
+                let row = &self.outputs[c * ports.len()..(c + 1) * ports.len()];
+                ports
+                    .iter()
+                    .zip(row)
+                    .map(|((name, _), &v)| (name.clone(), v))
+                    .collect()
+            })
+            .collect();
+        SimResult {
+            activity: self.activity,
+            inputs: Vec::new(),
+            outputs,
+            trace: None,
+        }
+    }
+}
+
 /// Input vectors bound to dense port positions: `flat[c * n + i]` is the
 /// (masked) value of the `i`-th primary input — in [`Netlist::inputs`]
 /// order — for computation `c`.

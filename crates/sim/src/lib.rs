@@ -52,7 +52,7 @@ pub use bitsliced::{
 pub use compiled::CompiledNetlist;
 pub use engine::{
     simulate, simulate_with_config, simulate_with_inputs, try_simulate_with_inputs, SimBackend,
-    SimConfig, SimError, SimResult,
+    SimConfig, SimError, SimResult, StreamRun,
 };
 pub use equivalence::{verify_equivalence, Mismatch};
 pub use stimulus::{FlatStimulus, Stimulus};

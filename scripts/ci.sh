@@ -22,8 +22,20 @@ run cargo test -q --workspace
 # scalar kernel (BENCH_batch.json), and the bit-sliced kernel against
 # the batched one (BENCH_bitslice.json). Every bench asserts
 # bit-identity before timing — backend, lane or seed divergence fails
-# the gate here, not just in the nightly full run.
-MC_BENCH_ITERS=2 run scripts/bench.sh
+# the gate here, not just in the nightly full run. Two-iteration numbers
+# are smoke, not measurements: every artifact goes to the gitignored
+# target/ci-bench/ (CI uploads it from there), never over the committed
+# BENCH_*.json files at the repository root.
+CI_BENCH_DIR="$(pwd)/target/ci-bench"
+mkdir -p "$CI_BENCH_DIR"
+MC_BENCH_ITERS=2 \
+    MC_BENCH_OUT="$CI_BENCH_DIR/BENCH_sim.json" \
+    MC_BATCH_OUT="$CI_BENCH_DIR/BENCH_batch.json" \
+    MC_BITSLICE_OUT="$CI_BENCH_DIR/BENCH_bitslice.json" \
+    MC_EXPLORE_OUT="$CI_BENCH_DIR/BENCH_explore.json" \
+    MC_EXPLORE_SCALE_OUT="$CI_BENCH_DIR/BENCH_explore_scale.json" \
+    MC_SERVE_OUT="$CI_BENCH_DIR/BENCH_serve.json" \
+    run scripts/bench.sh
 
 # Explorer determinism smoke: a tiny-budget exploration of two benchmarks
 # must emit bit-identical JSON on a repeated run and with the thread pool
