@@ -1,85 +1,11 @@
-//! A minimal, dependency-free micro-benchmark harness (the workspace
-//! builds hermetically, so Criterion is not available). Each benchmark is
-//! timed over a fixed warm-up plus measured iterations; the report shows
-//! min / median / mean / max wall-clock per iteration, and results can be emitted
-//! as machine-readable JSON for the bench trajectory (`BENCH_sim.json`).
-//!
-//! Iteration count defaults to 10 and can be overridden with the
-//! `MC_BENCH_ITERS` environment variable (e.g. `MC_BENCH_ITERS=3` for a
-//! quick smoke run).
-
-use std::time::{Duration, Instant};
-
-/// Timing summary of one benchmark.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Benchmark name.
-    pub name: String,
-    /// Measured iterations.
-    pub iters: usize,
-    /// Fastest iteration.
-    pub min: Duration,
-    /// Mean iteration time.
-    pub mean: Duration,
-    /// Median iteration time — robust against a single descheduled
-    /// outlier, so speedup ratios and CI smoke checks compare medians.
-    pub median: Duration,
-    /// Slowest iteration.
-    pub max: Duration,
-    /// Work units processed per iteration (simulation control steps for
-    /// the simulator benches); `None` for benches without a natural unit.
-    pub steps: Option<u64>,
-}
-
-impl BenchResult {
-    /// Renders the criterion-style one-line summary.
-    #[must_use]
-    pub fn render(&self) -> String {
-        let mut line = format!(
-            "{:<40} [{:>10.3?} {:>10.3?} {:>10.3?} {:>10.3?}]  ({} iters)",
-            self.name, self.min, self.median, self.mean, self.max, self.iters
-        );
-        if let Some(sps) = self.steps_per_sec() {
-            line.push_str(&format!("  {sps:.3e} steps/s"));
-        }
-        line
-    }
-
-    /// Throughput from the mean iteration time, when a step count is
-    /// attached.
-    #[must_use]
-    pub fn steps_per_sec(&self) -> Option<f64> {
-        let steps = self.steps?;
-        let secs = self.mean.as_secs_f64();
-        (secs > 0.0).then(|| steps as f64 / secs)
-    }
-
-    /// Serializes the result as one JSON object: name, iters, min/mean/max
-    /// nanoseconds, and (when present) steps and steps/sec.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut obj = JsonObj::new()
-            .str("name", &self.name)
-            .num("iters", self.iters)
-            .num("min_ns", self.min.as_nanos())
-            .num("mean_ns", self.mean.as_nanos())
-            .num("median_ns", self.median.as_nanos())
-            .num("max_ns", self.max.as_nanos());
-        if let Some(steps) = self.steps {
-            obj = obj.num("steps", steps);
-        }
-        if let Some(sps) = self.steps_per_sec() {
-            obj = obj.num("steps_per_sec", format_args!("{sps:.1}"));
-        }
-        obj.finish()
-    }
-}
+//! The workspace's dependency-free JSON emitter (the workspace has no
+//! external dependencies): an incremental object builder plus array and
+//! string helpers.
 
 /// An incremental JSON object builder — the workspace's one
-/// machine-readable emitter, shared by the bench trajectory
-/// (`BENCH_sim.json`), the `mcpm --json` table/sweep output and the
-/// explorer reports (`BENCH_explore.json`), so every artifact speaks the
-/// same format.
+/// machine-readable emitter, shared by the `mcpm --json` output, the
+/// explorer reports, the service responses and the repository
+/// benchmark, so every document speaks the same format.
 ///
 /// Values passed to [`JsonObj::num`] must render as valid JSON numbers
 /// (finite floats, integers); strings are escaped via [`json_string`].
@@ -190,153 +116,9 @@ pub fn json_string(s: &str) -> String {
     out
 }
 
-/// The measured iteration count: `MC_BENCH_ITERS` or 10.
-#[must_use]
-pub fn iterations() -> usize {
-    std::env::var("MC_BENCH_ITERS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(10)
-}
-
-/// Times `f` over [`iterations`] measured runs (after one warm-up run),
-/// prints the summary line, and returns the timings.
-pub fn bench<F: FnMut()>(name: &str, f: F) -> BenchResult {
-    bench_with_steps(name, None, f)
-}
-
-/// Like [`bench()`], attaching the number of work units one iteration
-/// processes so the report carries a throughput (steps/sec).
-pub fn bench_steps<F: FnMut()>(name: &str, steps: u64, f: F) -> BenchResult {
-    bench_with_steps(name, Some(steps), f)
-}
-
-fn bench_with_steps<F: FnMut()>(name: &str, steps: Option<u64>, mut f: F) -> BenchResult {
-    f(); // warm-up: page in code and data, fill caches
-    let iters = iterations();
-    let mut times = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        f();
-        times.push(t0.elapsed());
-    }
-    let min = *times.iter().min().expect("at least one iter");
-    let max = *times.iter().max().expect("at least one iter");
-    let mean = times.iter().sum::<Duration>() / iters as u32;
-    let median = median_duration(&times);
-    let result = BenchResult {
-        name: name.to_owned(),
-        iters,
-        min,
-        mean,
-        median,
-        max,
-        steps,
-    };
-    println!("{}", result.render());
-    result
-}
-
-/// Times two workloads over the same work in strict alternation —
-/// baseline, candidate, baseline, candidate, … — after one warm-up run
-/// of each. Machine-speed drift over a long bench session (frequency
-/// scaling, a noisy co-tenant VM) then shifts both sides' samples
-/// together instead of biasing whichever side happened to run later, so
-/// a speedup ratio of the two medians stays honest. Use this whenever a
-/// bench exists to *compare* two implementations rather than to track
-/// one.
-pub fn bench_steps_paired<A: FnMut(), B: FnMut()>(
-    name_a: &str,
-    name_b: &str,
-    steps: u64,
-    mut a: A,
-    mut b: B,
-) -> (BenchResult, BenchResult) {
-    a();
-    b();
-    let iters = iterations();
-    let mut times_a = Vec::with_capacity(iters);
-    let mut times_b = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        a();
-        times_a.push(t0.elapsed());
-        let t1 = Instant::now();
-        b();
-        times_b.push(t1.elapsed());
-    }
-    let summarize = |name: &str, times: &[Duration]| {
-        let result = BenchResult {
-            name: name.to_owned(),
-            iters,
-            min: *times.iter().min().expect("at least one iter"),
-            mean: times.iter().sum::<Duration>() / iters as u32,
-            median: median_duration(times),
-            max: *times.iter().max().expect("at least one iter"),
-            steps: Some(steps),
-        };
-        println!("{}", result.render());
-        result
-    };
-    (summarize(name_a, &times_a), summarize(name_b, &times_b))
-}
-
-/// The median of `times` (mean of the two central elements for even
-/// counts).
-///
-/// # Panics
-///
-/// Panics on an empty slice.
-#[must_use]
-pub fn median_duration(times: &[Duration]) -> Duration {
-    assert!(!times.is_empty(), "median of no samples");
-    let mut sorted = times.to_vec();
-    sorted.sort_unstable();
-    let mid = sorted.len() / 2;
-    if sorted.len() % 2 == 1 {
-        sorted[mid]
-    } else {
-        (sorted[mid - 1] + sorted[mid]) / 2
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn bench_reports_all_iterations() {
-        let mut runs = 0usize;
-        let r = bench("noop", || runs += 1);
-        assert_eq!(runs, r.iters + 1, "warm-up plus measured");
-        assert!(r.min <= r.mean && r.mean <= r.max);
-        assert!(r.min <= r.median && r.median <= r.max);
-        assert!(r.render().contains("noop"));
-        assert!(r.steps.is_none());
-        assert!(r.steps_per_sec().is_none());
-    }
-
-    #[test]
-    fn json_carries_timings_and_throughput() {
-        let r = BenchResult {
-            name: "sim".into(),
-            iters: 2,
-            min: Duration::from_nanos(100),
-            mean: Duration::from_nanos(200),
-            median: Duration::from_nanos(180),
-            max: Duration::from_nanos(300),
-            steps: Some(1000),
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"name\":\"sim\""));
-        assert!(json.contains("\"mean_ns\":200"));
-        assert!(json.contains("\"median_ns\":180"));
-        assert!(json.contains("\"steps\":1000"));
-        assert!(json.contains("\"steps_per_sec\":"));
-        let sps = r.steps_per_sec().unwrap();
-        assert!((sps - 5e9).abs() < 1e-3, "1000 steps / 200 ns = {sps}");
-    }
 
     #[test]
     fn json_strings_are_escaped() {
@@ -363,27 +145,5 @@ mod tests {
     fn json_floats_render_as_plain_numbers() {
         let doc = JsonObj::new().num("x", 0.25f64).num("y", 12.0f64).finish();
         assert_eq!(doc, "{\"x\":0.25,\"y\":12}");
-    }
-
-    #[test]
-    fn median_resists_one_outlier() {
-        let ns = |n| Duration::from_nanos(n);
-        // Odd count: middle element, unmoved by the 10 µs outlier.
-        assert_eq!(median_duration(&[ns(100), ns(10_000), ns(110)]), ns(110));
-        // Even count: mean of the two central elements.
-        assert_eq!(
-            median_duration(&[ns(100), ns(200), ns(400), ns(10_000)]),
-            ns(300)
-        );
-        assert_eq!(median_duration(&[ns(42)]), ns(42));
-    }
-
-    #[test]
-    fn bench_steps_attaches_throughput() {
-        let r = bench_steps("unit", 50, || {
-            std::hint::black_box(0);
-        });
-        assert_eq!(r.steps, Some(50));
-        assert!(r.render().contains("steps/s"));
     }
 }

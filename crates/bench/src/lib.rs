@@ -1,6 +1,6 @@
-//! Shared harness code for the table/figure regeneration binaries and the
-//! in-tree micro-benchmarks: CLI configuration and the paper's published
-//! numbers for side-by-side comparison.
+//! Shared code for the table/figure regeneration binaries: CLI
+//! configuration, the paper's published numbers for side-by-side
+//! comparison, and the workspace's JSON emitter ([`harness`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

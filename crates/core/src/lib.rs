@@ -37,7 +37,7 @@
 //! The [`experiment`] module regenerates every paper table
 //! ([`experiment::paper_table`], or [`experiment::paper_table_parallel`]
 //! on scoped threads) and the ablations; the `mc-bench` crate wraps them
-//! in runnable binaries and in-tree benches.
+//! in runnable binaries.
 //!
 //! # The pass pipeline
 //!

@@ -8,7 +8,7 @@
 //! dominated`, and `flow_evals + dedup_served + disk-served` explains
 //! how each of them was priced.
 //!
-//! JSON emission follows the bench-harness conventions
+//! JSON emission follows the workspace conventions
 //! ([`mc_bench::harness::JsonObj`]): hand-rolled, dependency-free, with
 //! `f64` rendered through `Display` (shortest round-trip, deterministic
 //! across platforms and runs). [`ExploreReport::to_json`] deliberately
@@ -16,7 +16,7 @@
 //! with scheduling and cache warmth — so same-seed runs emit
 //! bit-identical documents whether cold, warm, or resumed;
 //! [`ExploreReport::to_json_with_timings`] adds them back for human
-//! inspection and bench artifacts.
+//! inspection (`mcpm explore --timings`).
 
 use std::fmt::Write as _;
 use std::time::Duration;
@@ -258,7 +258,7 @@ impl ExploreReport {
     }
 
     /// JSON with per-point wall-clock and every cache counter appended —
-    /// for bench artifacts, *not* for determinism comparison.
+    /// for `mcpm explore --timings`, *not* for determinism comparison.
     #[must_use]
     pub fn to_json_with_timings(&self) -> String {
         self.json_header()

@@ -803,11 +803,8 @@ mod tests {
         let lib = TechLibrary::vsc450();
         let mode = PowerMode::multiclock();
         let seeds = derive_seeds(7, 4);
-        let activities: Vec<mc_sim::Activity> =
-            mc_sim::simulate_seeds(&nl, mode, 60, &seeds, 4, false)
-                .into_iter()
-                .map(|r| r.activity)
-                .collect();
+        let activities =
+            mc_sim::BatchedProgram::compile(&nl, mode, 4).run_seeds_activity(60, &seeds, false);
         let mc = evaluate_design_monte_carlo(&nl, mode, &lib, &activities);
         let ci = mc.power_ci.expect("multi-seed report carries a CI");
         assert_eq!(ci.seeds, 4);

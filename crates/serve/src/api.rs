@@ -9,7 +9,7 @@
 //! Cache keys are content-addressed: [`ApiRequest::cache_key`] hashes a
 //! canonical rendering of the request *plus the design content* (DSL +
 //! schedule for bundled benchmarks, raw text for user sources) with the
-//! stable FNV-1a hash from [`crate::cache`]. Knobs that provably never
+//! stable FNV-1a hash from [`mc_core::cache`]. Knobs that provably never
 //! change the response bytes — `parallel`, `threads`, `batch`, `backend`
 //! (the workspace's bit-identity invariants) — are deliberately excluded,
 //! so e.g. a bitsliced-backend request warms the cache for a batched one.
@@ -19,14 +19,13 @@ use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
 use mc_bench::harness::{json_array, JsonObj};
+use mc_core::cache::fnv1a;
 use mc_core::dfg::benchmarks::{self, Benchmark};
 use mc_core::rtl::export;
 use mc_core::sim::BatchBackend;
 use mc_core::{experiment, retrofit, DesignStyle, Flow, Synthesizer};
 use mc_explore::{ExploreSpace, Explorer, GatingVariant, RewriteChoice, NOMINAL_VOLTS};
 use mc_trace::json::Value;
-
-use crate::cache::fnv1a;
 
 /// The behaviour a request evaluates: a bundled benchmark by name, or an
 /// inline source text (behavioural DSL for eval/sweep/explore, VHDL or
@@ -379,7 +378,7 @@ impl ApiRequest {
     }
 }
 
-/// Serialises an experiment table with the bench-harness JSON conventions
+/// Serialises an experiment table with the workspace JSON conventions
 /// (`f64` via `Display`: shortest round-trip, deterministic). This is the
 /// `mcpm eval --json` document.
 #[must_use]

@@ -11,9 +11,10 @@
 //! * [`api`] — typed requests whose [`run_json`](api::ApiRequest::run_json)
 //!   is the *same code* the CLI `--json` paths call, so server responses
 //!   are byte-identical to one-shot CLI output by construction;
-//! * [`cache`] — a sharded, content-addressed, on-disk result cache
-//!   (atomic rename publication, versioned entries, corruption evicted
-//!   and recomputed, never a panic) that survives server restarts;
+//! * [`mc_core::cache`] — a sharded, content-addressed, on-disk result
+//!   cache (atomic rename publication, versioned entries, corruption
+//!   evicted and recomputed, never a panic) that survives server
+//!   restarts, shared with the explorer;
 //! * [`coalesce`] — request coalescing, so N identical in-flight requests
 //!   share exactly one flow run.
 //!
@@ -26,10 +27,8 @@
 #![warn(rust_2018_idioms)]
 
 pub mod api;
-pub mod cache;
 pub mod coalesce;
 pub mod http;
 pub mod server;
 
-pub use cache::{fnv1a, DiskCache, CACHE_VERSION};
 pub use server::{ServeConfig, ServeError, Server, ServerStats};

@@ -21,10 +21,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use mc_bench::harness::JsonObj;
+use mc_core::cache::{fnv1a, DiskCache};
 use mc_explore::pool::{default_threads, WorkerPool};
 
 use crate::api::{self, FlowPool};
-use crate::cache::DiskCache;
 use crate::coalesce::Coalescer;
 use crate::http::{read_request, write_response, Request};
 
@@ -307,7 +307,7 @@ fn compute(ctx: &ServerCtx, kind: &str, body: &str) -> (u16, String) {
     // The coalescer keys on the hash; the disk cache keys on the full
     // canonical text so hash collisions degrade to recomputation, never
     // to a wrong response.
-    let key = crate::cache::fnv1a(canonical.as_bytes());
+    let key = fnv1a(canonical.as_bytes());
     if let Some(cached) = ctx.cache.get(&canonical) {
         ctx.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
         mc_trace::count_runtime("serve.cache.hit", 1);

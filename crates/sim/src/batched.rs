@@ -717,21 +717,6 @@ fn capture_row<const L: usize>(
     }
 }
 
-/// Convenience wrapper: compile + batch the given seeds in one call.
-/// `results[k]` is bit-identical to [`simulate`](crate::simulate) with
-/// seed `seeds[k]`.
-#[must_use]
-pub fn simulate_seeds(
-    netlist: &Netlist,
-    mode: PowerMode,
-    computations: usize,
-    seeds: &[u64],
-    lanes: usize,
-    collect_profile: bool,
-) -> Vec<SimResult> {
-    BatchedProgram::compile(netlist, mode, lanes).run_seeds(computations, seeds, collect_profile)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -751,7 +736,7 @@ mod tests {
         let nl = hal(3);
         let mode = PowerMode::multiclock();
         let seeds: Vec<u64> = (0..5).map(|k| 100 + k * 13).collect();
-        let batched = simulate_seeds(&nl, mode, 8, &seeds, 4, true);
+        let batched = BatchedProgram::compile(&nl, mode, 4).run_seeds(8, &seeds, true);
         assert_eq!(batched.len(), seeds.len());
         for (k, &seed) in seeds.iter().enumerate() {
             let cfg = SimConfig::new(mode, 8, seed).with_profile();
@@ -764,7 +749,8 @@ mod tests {
     #[test]
     fn zero_computations_yield_empty_results() {
         let nl = hal(2);
-        let res = simulate_seeds(&nl, PowerMode::multiclock(), 0, &[1, 2], 8, false);
+        let res =
+            BatchedProgram::compile(&nl, PowerMode::multiclock(), 8).run_seeds(0, &[1, 2], false);
         assert_eq!(res.len(), 2);
         for r in &res {
             assert_eq!(r.activity.steps, 0);

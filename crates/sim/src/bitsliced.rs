@@ -1490,20 +1490,6 @@ fn scatter_lanes(vals: &[u64; BITSLICE_LANES], planes: &mut [u64]) {
     }
 }
 
-/// Convenience wrapper: compile + run the given seeds bit-sliced in one
-/// call. `results[k]` is bit-identical to [`simulate`](crate::simulate)
-/// with seed `seeds[k]`.
-#[must_use]
-pub fn simulate_seeds_bitsliced(
-    netlist: &Netlist,
-    mode: PowerMode,
-    computations: usize,
-    seeds: &[u64],
-    collect_profile: bool,
-) -> Vec<SimResult> {
-    BitslicedProgram::compile(netlist, mode).run_seeds(computations, seeds, collect_profile)
-}
-
 /// Which multi-seed kernel executes a Monte-Carlo seed schedule.
 ///
 /// Both backends are bit-identical per seed to the scalar compiled
@@ -1662,7 +1648,7 @@ mod tests {
         let nl = hal(3);
         let mode = PowerMode::multiclock();
         let seeds: Vec<u64> = (0..5).map(|k| 100 + k * 13).collect();
-        let sliced = simulate_seeds_bitsliced(&nl, mode, 8, &seeds, true);
+        let sliced = BitslicedProgram::compile(&nl, mode).run_seeds(8, &seeds, true);
         assert_eq!(sliced.len(), seeds.len());
         for (k, &seed) in seeds.iter().enumerate() {
             let cfg = SimConfig::new(mode, 8, seed).with_profile();
@@ -1692,7 +1678,8 @@ mod tests {
     #[test]
     fn zero_computations_yield_empty_results() {
         let nl = hal(2);
-        let res = simulate_seeds_bitsliced(&nl, PowerMode::multiclock(), 0, &[1, 2], false);
+        let res =
+            BitslicedProgram::compile(&nl, PowerMode::multiclock()).run_seeds(0, &[1, 2], false);
         assert_eq!(res.len(), 2);
         for r in &res {
             assert_eq!(r.activity.steps, 0);

@@ -45,10 +45,8 @@ pub mod stimulus;
 pub mod vcd;
 
 pub use activity::{Activity, StepActivity};
-pub use batched::{simulate_seeds, BatchedProgram, MAX_LANES};
-pub use bitsliced::{
-    simulate_seeds_bitsliced, BatchBackend, BitslicedProgram, SeedKernel, BITSLICE_LANES,
-};
+pub use batched::{BatchedProgram, MAX_LANES};
+pub use bitsliced::{BatchBackend, BitslicedProgram, SeedKernel, BITSLICE_LANES};
 pub use compiled::CompiledNetlist;
 pub use engine::{
     simulate, simulate_with_config, simulate_with_inputs, try_simulate_with_inputs, SimBackend,

@@ -17,26 +17,6 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --no-deps --workspace
 run cargo build --release --workspace
 run cargo test -q --workspace
 
-# Bench smoke: times the compiled kernel against the interpreter
-# (BENCH_sim.json), the batched multi-lane kernel against the looped
-# scalar kernel (BENCH_batch.json), and the bit-sliced kernel against
-# the batched one (BENCH_bitslice.json). Every bench asserts
-# bit-identity before timing — backend, lane or seed divergence fails
-# the gate here, not just in the nightly full run. Two-iteration numbers
-# are smoke, not measurements: every artifact goes to the gitignored
-# target/ci-bench/ (CI uploads it from there), never over the committed
-# BENCH_*.json files at the repository root.
-CI_BENCH_DIR="$(pwd)/target/ci-bench"
-mkdir -p "$CI_BENCH_DIR"
-MC_BENCH_ITERS=2 \
-    MC_BENCH_OUT="$CI_BENCH_DIR/BENCH_sim.json" \
-    MC_BATCH_OUT="$CI_BENCH_DIR/BENCH_batch.json" \
-    MC_BITSLICE_OUT="$CI_BENCH_DIR/BENCH_bitslice.json" \
-    MC_EXPLORE_OUT="$CI_BENCH_DIR/BENCH_explore.json" \
-    MC_EXPLORE_SCALE_OUT="$CI_BENCH_DIR/BENCH_explore_scale.json" \
-    MC_SERVE_OUT="$CI_BENCH_DIR/BENCH_serve.json" \
-    run scripts/bench.sh
-
 # Explorer determinism smoke: a tiny-budget exploration of two benchmarks
 # must emit bit-identical JSON on a repeated run and with the thread pool
 # disabled. Any diff means scheduling leaked into the numbers — fail.
@@ -190,5 +170,22 @@ cmp "$SMOKE_DIR/eval.served.json" "$SMOKE_DIR/eval.cli.json" \
 wait "$SERVE_PID" \
     || { echo "ci.sh: mcpm serve exited non-zero after shutdown" >&2; exit 1; }
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+# Benchmark smoke: perfbench/ (a Cargo workspace of its own, so the
+# workspace stages above never build it) names library items, so an API
+# change that breaks the repository benchmark fails here. Its self-tests
+# run, then one untraced and one traced retrofit_mc run; each run's last
+# line must report every output check correct and no failed operation.
+# No timing is gated. perfbench writes .perfbench_work/ in its working
+# directory, so both runs start in the scratch directory.
+PERFBENCH_MANIFEST="$(pwd)/perfbench/Cargo.toml"
+run cargo test -q --release --manifest-path "$PERFBENCH_MANIFEST"
+for trace in 0 1; do
+    echo "==> perfbench smoke: retrofit_mc --trace $trace"
+    last="$(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$PERFBENCH_MANIFEST" -- \
+        --workload retrofit_mc --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
+    grep -q '"correct":true' <<< "$last" && grep -qE '"failed":0[,}]' <<< "$last" \
+        || { echo "ci.sh: perfbench --trace $trace run failed: $last" >&2; exit 1; }
+done
 
 echo "==> ci.sh: all checks passed"

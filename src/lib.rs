@@ -40,7 +40,8 @@ pub use mc_core::{alloc, clocks, dfg, power, rtl, sim, tech};
 /// The in-tree deterministic PRNGs (SplitMix64, xoshiro256**).
 pub use mc_prng as prng;
 
-/// The micro-benchmark harness and its dependency-free JSON emitter.
+/// The paper-regeneration support code: run configuration, the paper's
+/// published table rows, and the dependency-free JSON emitter.
 pub use mc_bench as bench;
 
 /// Design-space exploration: lattice enumeration, deterministic parallel

@@ -57,6 +57,27 @@ fn assert_backends_agree(netlist: &Netlist, mode: PowerMode, computations: usize
     );
 }
 
+/// Five paper-table design points: the multi-clock style of Tables 1–4
+/// plus one conventional gated-clock reference.
+fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
+    use Strategy::{Conventional, Integrated, Split};
+    let multiclock = PowerMode::multiclock();
+    [
+        (benchmarks::facet(), Integrated, 3, multiclock),
+        (benchmarks::hal(), Integrated, 3, multiclock),
+        (benchmarks::biquad(), Integrated, 2, multiclock),
+        (benchmarks::bandpass(), Split, 3, multiclock),
+        (benchmarks::hal(), Conventional, 1, PowerMode::gated()),
+    ]
+    .into_iter()
+    .map(|(bm, strategy, n, mode)| {
+        let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());
+        let dp = allocate(&bm.dfg, &bm.schedule, &opts).unwrap();
+        (dp.netlist, mode)
+    })
+    .collect()
+}
+
 #[test]
 fn kernel_matches_interpreter_on_all_benchmarks_modes_clocks_seeds() {
     for bm in benchmarks::all_benchmarks() {
@@ -73,6 +94,9 @@ fn kernel_matches_interpreter_on_all_benchmarks_modes_clocks_seeds() {
                 }
             }
         }
+    }
+    for (netlist, mode) in paper_table_points() {
+        assert_backends_agree(&netlist, mode, 16, 42);
     }
 }
 

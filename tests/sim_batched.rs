@@ -85,6 +85,27 @@ fn assert_lanes_match(
     }
 }
 
+/// Five paper-table design points: the multi-clock style of Tables 1–4
+/// plus one conventional gated-clock reference.
+fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
+    use Strategy::{Conventional, Integrated, Split};
+    let multiclock = PowerMode::multiclock();
+    [
+        (benchmarks::facet(), Integrated, 3, multiclock),
+        (benchmarks::hal(), Integrated, 3, multiclock),
+        (benchmarks::biquad(), Integrated, 2, multiclock),
+        (benchmarks::bandpass(), Split, 3, multiclock),
+        (benchmarks::hal(), Conventional, 1, PowerMode::gated()),
+    ]
+    .into_iter()
+    .map(|(bm, strategy, n, mode)| {
+        let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());
+        let dp = allocate(&bm.dfg, &bm.schedule, &opts).unwrap();
+        (dp.netlist, mode)
+    })
+    .collect()
+}
+
 #[test]
 fn batched_lanes_match_scalar_on_all_benchmarks_modes_clocks_widths() {
     let seeds = [3u64, 17, 2026];
@@ -106,6 +127,14 @@ fn batched_lanes_match_scalar_on_all_benchmarks_modes_clocks_widths() {
                 }
             }
         }
+    }
+    let seeds = derive_seeds(42, 16);
+    for (netlist, mode) in paper_table_points() {
+        let scalars: Vec<SimResult> = seeds
+            .iter()
+            .map(|&s| scalar_reference(&netlist, mode, 16, s))
+            .collect();
+        assert_lanes_match(&netlist, mode, 16, &seeds, 16, &scalars);
     }
 }
 

@@ -89,6 +89,27 @@ fn assert_seeds_match(
     }
 }
 
+/// Five paper-table design points: the multi-clock style of Tables 1–4
+/// plus one conventional gated-clock reference.
+fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
+    use Strategy::{Conventional, Integrated, Split};
+    let multiclock = PowerMode::multiclock();
+    [
+        (benchmarks::facet(), Integrated, 3, multiclock),
+        (benchmarks::hal(), Integrated, 3, multiclock),
+        (benchmarks::biquad(), Integrated, 2, multiclock),
+        (benchmarks::bandpass(), Split, 3, multiclock),
+        (benchmarks::hal(), Conventional, 1, PowerMode::gated()),
+    ]
+    .into_iter()
+    .map(|(bm, strategy, n, mode)| {
+        let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());
+        let dp = allocate(&bm.dfg, &bm.schedule, &opts).unwrap();
+        (dp.netlist, mode)
+    })
+    .collect()
+}
+
 #[test]
 fn bitsliced_seeds_match_scalar_on_all_benchmarks_modes_clocks() {
     let seeds = [3u64, 17, 2026];
@@ -108,6 +129,14 @@ fn bitsliced_seeds_match_scalar_on_all_benchmarks_modes_clocks() {
                 }
             }
         }
+    }
+    let seeds = derive_seeds(42, 64);
+    for (netlist, mode) in paper_table_points() {
+        let scalars: Vec<SimResult> = seeds
+            .iter()
+            .map(|&s| scalar_reference(&netlist, mode, 16, s))
+            .collect();
+        assert_seeds_match(&netlist, mode, 16, &seeds, &scalars);
     }
 }
 
