@@ -319,11 +319,14 @@ impl Pass for SimulatePass {
         if ctx.power_seeds() > 1 {
             return self.run_monte_carlo(datapath, ctx, cfg.backend);
         }
+        // Power needs only the activity counters: skip the per-computation
+        // output maps `simulate` would build.
         let started = std::time::Instant::now();
-        let result = mc_sim::simulate(&datapath.netlist, &cfg);
+        let activity = mc_sim::CompiledNetlist::compile(&datapath.netlist, self.mode)
+            .run_activity(cfg.computations, cfg.seed);
         let elapsed = started.elapsed().as_secs_f64();
         let steps_per_sec = if elapsed > 0.0 {
-            result.activity.steps as f64 / elapsed
+            activity.steps as f64 / elapsed
         } else {
             f64::INFINITY
         };
@@ -332,13 +335,13 @@ impl Pass for SimulatePass {
             format!(
                 "{} backend: {} steps in {:.2} ms ({:.3e} steps/s)",
                 cfg.backend,
-                result.activity.steps,
+                activity.steps,
                 elapsed * 1e3,
                 steps_per_sec
             ),
         );
         Ok(SimTrace {
-            activity: result.activity,
+            activity,
             mode: self.mode,
             computations: ctx.computations(),
             backend: cfg.backend,

@@ -45,7 +45,7 @@ use mc_rtl::discipline::check_latch_discipline;
 use mc_rtl::hier::{Cell, Circuit, CircuitWord, HierError};
 use mc_rtl::import::{from_mcnl, from_vhdl, ImportError};
 use mc_rtl::{Netlist, Path, PowerMode};
-use mc_sim::{simulate, BatchBackend, SimConfig, SimError};
+use mc_sim::{BatchBackend, CompiledNetlist, SimError};
 use mc_tech::{MemKind, TechLibrary};
 
 use crate::replay::{replay, Failure, Plan};
@@ -237,17 +237,15 @@ pub fn infer_lifetimes(
     // Probe run: the compiled kernel's store counters bound which
     // registers actually change — a register the controller never loads
     // must be inert in silicon too.
-    let probe = simulate(
-        netlist,
-        &SimConfig::new(PowerMode::non_gated(), probe_computations, probe_seed),
-    );
+    let probe = CompiledNetlist::compile(netlist, PowerMode::non_gated())
+        .run_activity(probe_computations, probe_seed);
     let observed_store_toggles = netlist
         .mems()
         .map(|m| {
             let c = m.comp();
             (
                 netlist.component(c).path().clone(),
-                probe.activity.store_toggles[c.index()],
+                probe.store_toggles[c.index()],
             )
         })
         .collect();

@@ -422,9 +422,8 @@ pub fn evaluate_design(
     computations: usize,
     seed: u64,
 ) -> DesignReport {
-    let cfg = mc_sim::SimConfig::new(mode, computations, seed);
-    let result = mc_sim::simulate(netlist, &cfg);
-    evaluate_design_with_activity(netlist, mode, lib, &result.activity)
+    let activity = mc_sim::CompiledNetlist::compile(netlist, mode).run_activity(computations, seed);
+    evaluate_design_with_activity(netlist, mode, lib, &activity)
 }
 
 /// Prices an already-simulated design: builds the full report from a

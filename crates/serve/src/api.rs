@@ -404,14 +404,30 @@ pub fn table_json(table: &experiment::Table, seed: u64, computations: usize) -> 
     doc.finish()
 }
 
+/// Most flows a [`FlowPool`] holds: the bound the explorer applies to
+/// its flow groups.
+pub const MAX_POOLED_FLOWS: usize = 32;
+
 /// A pool of [`Flow`]s keyed by content fingerprint + computations +
 /// seed, so repeated requests against the same behaviour reuse a warm
 /// in-memory artifact cache. Safe for byte-identity: cached artifacts are
 /// content-keyed and bit-identical to recomputation (the workspace's
 /// standing invariant, exercised by the tier-1 tests).
+///
+/// The pool holds at most [`MAX_POOLED_FLOWS`] flows and evicts the one
+/// handed out least recently, so clients varying the seed cannot grow
+/// server memory without limit. An evicted triple simply recomputes,
+/// bit-identically.
 #[derive(Debug, Default)]
 pub struct FlowPool {
-    flows: Mutex<HashMap<u64, Arc<Flow>>>,
+    state: Mutex<PoolState>,
+}
+
+/// The pooled flows, each with the tick it was last handed out at.
+#[derive(Debug, Default)]
+struct PoolState {
+    flows: HashMap<u64, (Arc<Flow>, u64)>,
+    tick: u64,
 }
 
 impl FlowPool {
@@ -422,7 +438,8 @@ impl FlowPool {
     }
 
     /// The flow for this (behaviour, computations, seed) triple, created
-    /// on first use.
+    /// on first use. Creating one beyond [`MAX_POOLED_FLOWS`] evicts the
+    /// least recently handed-out flow.
     #[must_use]
     pub fn flow_for(&self, bm: &Benchmark, computations: usize, seed: u64) -> Arc<Flow> {
         let candidate = Flow::for_benchmark(bm)
@@ -430,14 +447,36 @@ impl FlowPool {
             .with_seed(seed);
         let key =
             fnv1a(format!("{:016x}/{computations}/{seed}", candidate.fingerprint()).as_bytes());
-        let mut flows = self.flows.lock().expect("flow pool lock");
-        Arc::clone(flows.entry(key).or_insert_with(|| Arc::new(candidate)))
+        let mut state = self.state.lock().expect("flow pool lock");
+        state.tick += 1;
+        let tick = state.tick;
+        let entry = state
+            .flows
+            .entry(key)
+            .or_insert_with(|| (Arc::new(candidate), tick));
+        entry.1 = tick;
+        let flow = Arc::clone(&entry.0);
+        let evicted = if state.flows.len() > MAX_POOLED_FLOWS {
+            let oldest = state
+                .flows
+                .iter()
+                .min_by_key(|(_, (_, handed_out))| *handed_out)
+                .map(|(&k, _)| k)
+                .expect("an over-full pool is non-empty");
+            state.flows.remove(&oldest)
+        } else {
+            None
+        };
+        // A flow's artifact cache can be large: free it outside the lock.
+        drop(state);
+        drop(evicted);
+        flow
     }
 
     /// Number of distinct flows held.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.flows.lock().expect("flow pool lock").len()
+        self.state.lock().expect("flow pool lock").flows.len()
     }
 
     /// Whether the pool holds no flows yet.
@@ -822,6 +861,37 @@ mod tests {
         let c = pool.flow_for(&bm, 50, 43);
         assert!(!Arc::ptr_eq(&a, &c), "seed is part of the identity");
         assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn flow_pool_is_bounded_and_evicted_flows_recompute_identically() {
+        let pool = FlowPool::new();
+        let bm = benchmarks::hal();
+        let request = |seed: u64| {
+            parse_request(
+                "eval",
+                &format!(r#"{{"benchmark":"hal","computations":8,"seed":{seed}}}"#),
+            )
+            .unwrap()
+        };
+        let first = request(0).run_json(&pool).unwrap();
+        let oldest = pool.flow_for(&bm, 8, 0);
+        let mut resident = None;
+        for seed in 1..100 {
+            resident = Some(pool.flow_for(&bm, 8, seed));
+            assert!(
+                pool.len() <= MAX_POOLED_FLOWS,
+                "pool grew to {}",
+                pool.len()
+            );
+        }
+        let resident = resident.unwrap();
+        assert!(Arc::ptr_eq(&resident, &pool.flow_for(&bm, 8, 99)));
+        assert!(
+            !Arc::ptr_eq(&oldest, &pool.flow_for(&bm, 8, 0)),
+            "seed 0's flow was evicted"
+        );
+        assert_eq!(request(0).run_json(&pool).unwrap(), first);
     }
 
     #[test]

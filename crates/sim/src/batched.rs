@@ -249,8 +249,9 @@ impl<'a> BatchedProgram<'a> {
         let mut net_total = vec![0u64; lanes];
         let mut input_total = vec![0u64; lanes];
         let mut store_total = vec![0u64; lanes];
-        // Data-independent counters: identical in every lane, kept once.
-        let mut clock_pulses = vec![0u64; nc];
+        // Data-independent counters: identical in every lane, kept once
+        // (per-element clock pulses are analytic).
+        let clock_pulses = p.clock_pulses(computations);
         let mut clock_total = 0u64;
         let mut control_toggles = 0u64;
         let mut controller_pulses = 0u64;
@@ -395,9 +396,6 @@ impl<'a> BatchedProgram<'a> {
                 // 4. Clock edges (lane-independent) and captures
                 // (two-phase commit through the reusable buffer, all
                 // lanes gathered before any write).
-                for &m in &program.pulses {
-                    clock_pulses[m as usize] += 1;
-                }
                 clock_total += program.pulses.len() as u64;
                 for (k, cap) in program.captures.iter().enumerate() {
                     let s = cap.input as usize * lanes;
@@ -462,8 +460,8 @@ impl<'a> BatchedProgram<'a> {
                 for i in 0..nc {
                     activity.input_toggles[i] = input_toggles[i * lanes + l];
                     activity.store_toggles[i] = store_toggles[i * lanes + l];
-                    activity.clock_pulses[i] = clock_pulses[i];
                 }
+                activity.clock_pulses.clone_from(&clock_pulses);
                 activity.control_toggles = control_toggles;
                 activity.controller_pulses = controller_pulses;
                 if let Some(ps) = per_step.as_mut() {

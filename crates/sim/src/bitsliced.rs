@@ -28,9 +28,11 @@
 //! transpose-execute-transpose per instruction, so correctness never
 //! depends on op coverage.
 //!
-//! **Change-driven evaluation.** The controller re-issues every mux and
-//! ALU evaluation on every step, but datapath values change only when a
-//! port is driven or a register captures — about once per period. The
+//! **Change-driven evaluation.** Compile-time pruning (see
+//! [`CompiledNetlist`]) drops only the instructions that are quiet on
+//! *every* pass through their step. A kept instruction still runs once
+//! per period, yet its operands change only when a port is driven or a
+//! register captures, and often not even then. The
 //! runner therefore keeps a generation stamp per net (the tick of its
 //! last committed change) and, per destination net, the tick and
 //! configuration id of the instruction that last wrote it. An
@@ -660,9 +662,6 @@ impl<'a> BitslicedProgram<'a> {
                 // 4. Clock edges (lane-independent) and captures
                 // (two-phase commit through the reusable buffer).
                 st.tick += 1;
-                for &m in &program.pulses {
-                    st.clock_pulses[m as usize] += 1;
-                }
                 st.clock_total += program.pulses.len() as u64;
                 st.captures::<W>(&program.captures, chained[(t - 1) as usize]);
                 st.controller_pulses += 1;
@@ -700,6 +699,7 @@ impl<'a> BitslicedProgram<'a> {
         // counters replicate verbatim. Dead lanes are never read —
         // that is the whole tail mask.
         let fn_comp = self.fn_totals(computations);
+        let clock_pulses = p.clock_pulses(computations);
         let results: Vec<StreamRun> = outputs
             .into_iter()
             .enumerate()
@@ -716,8 +716,8 @@ impl<'a> BitslicedProgram<'a> {
                 for (i, &fnc) in fn_comp.iter().enumerate().take(nc) {
                     activity.input_toggles[i] = st.input_count.get(i, l) + fnc;
                     activity.store_toggles[i] = st.store_count.get(i, l);
-                    activity.clock_pulses[i] = st.clock_pulses[i];
                 }
+                activity.clock_pulses.clone_from(&clock_pulses);
                 activity.control_toggles = st.control_toggles;
                 activity.controller_pulses = st.controller_pulses;
                 if let Some(ps) = per_step.as_mut() {
@@ -1019,8 +1019,8 @@ struct Runner {
     /// Running function-select total across all ALUs (profile input
     /// category), advanced per step from the lowered constants.
     fn_total: u64,
-    // Lane-independent counters, kept once and replicated.
-    clock_pulses: Vec<u64>,
+    // Lane-independent counters, kept once and replicated (per-element
+    // clock pulses are analytic, see `CompiledNetlist::clock_pulses`).
     clock_total: u64,
     control_toggles: u64,
     controller_pulses: u64,
@@ -1072,7 +1072,6 @@ impl Runner {
             input_count: VerticalCounters::new(nc),
             store_count: VerticalCounters::new(nc),
             fn_total: 0,
-            clock_pulses: vec![0; nc],
             clock_total: 0,
             control_toggles: 0,
             controller_pulses: 0,

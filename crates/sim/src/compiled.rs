@@ -27,10 +27,42 @@
 //!   buffer is reused, and per-step profiles are derived from running
 //!   totals instead of re-summing counters).
 //!
+//! - **Quiet-instruction pruning.** A DPM's muxes and ALUs hold their
+//!   operands outside their own phase, so most steps re-issue the very
+//!   instruction the previous step ran, over operands that have not
+//!   changed. After lowering both periods the compiler drops every
+//!   instruction that (a) equals the instruction for the same component
+//!   in *each* step that can run immediately before it and (b) reads no
+//!   net that may have changed since. The predecessors are cold step
+//!   `t − 1` for cold step `t`; cold step `period` *and* warm step
+//!   `period` for warm step 1; warm step `t − 1` for warm step `t`. Cold
+//!   step 1 follows the silent reset settle and is kept whole. A net may
+//!   have changed when it is an input port on the boundary step, the
+//!   output of any predecessor's capture, or the output of an
+//!   instruction kept earlier in the same step.
+//!
+//!   *Why this is exact.* Every net has one driver and the combinational
+//!   order is topological, so between a predecessor's execution of the
+//!   identical instruction and this step's, only boundary drives,
+//!   predecessor captures and earlier instructions of this step can
+//!   touch what it reads. If none did, re-executing it would write the
+//!   value its net already holds and re-store identical operand history,
+//!   adding zero toggles. The function-select contribution `fn_delta` is
+//!   part of an instruction's identity, and an ALU whose predecessor
+//!   applied the same function has `fn_delta = 0`, so a function change
+//!   is never dropped. By induction over steps, the pruned program leaves
+//!   every net, history slot and counter exactly where the full program
+//!   would. The batched and bit-sliced kernels lower from these same
+//!   programs and skip the same instructions.
+//! - **Analytic clock pulses.** Pulse lists are fixed per step, so each
+//!   memory element's pulse count over a run is its cold-period count
+//!   plus `computations − 1` times its warm-period count, computed once
+//!   instead of incremented in the step loop.
+//!
 //! The kernel is differentially tested to be **bit-identical** to the
 //! interpreter — same activity counters, outputs, traces and per-step
-//! profiles — on every built-in benchmark, power mode, clock count and
-//! seed (see `tests/sim_backend.rs`).
+//! profiles — on every built-in benchmark, random DFGs, every power
+//! mode, clock count and seed (see `tests/sim_backend.rs`).
 
 use std::collections::BTreeMap;
 
@@ -41,7 +73,7 @@ use crate::activity::{Activity, StepActivity};
 use crate::engine::{bits_for, width_mask, BoundInputs, SimResult};
 
 /// One lowered combinational evaluation.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Instr {
     /// A mux whose select resolved to a constant this step: copy net
     /// `src` to net `dst`.
@@ -63,6 +95,26 @@ pub(crate) enum Instr {
     AluFrozen { comp: u32, dst: u32, op: Op },
 }
 
+impl Instr {
+    /// The net this instruction writes.
+    fn dst(self) -> u32 {
+        match self {
+            Instr::Copy { dst, .. } | Instr::Alu { dst, .. } | Instr::AluFrozen { dst, .. } => dst,
+        }
+    }
+
+    /// The nets this instruction reads. A frozen ALU reads only its own
+    /// operand history, which no other instruction writes.
+    fn reads(self) -> impl Iterator<Item = u32> {
+        let (first, second) = match self {
+            Instr::Copy { src, .. } => (Some(src), None),
+            Instr::Alu { a, b, .. } => (Some(a), Some(b)),
+            Instr::AluFrozen { .. } => (None, None),
+        };
+        first.into_iter().chain(second)
+    }
+}
+
 /// One precomputed memory capture: store net `input` into element `comp`
 /// and forward it to net `out`.
 #[derive(Debug, Clone, Copy)]
@@ -78,7 +130,8 @@ pub(crate) struct StepProgram {
     /// Control-line toggles this step contributes (precomputed from the
     /// control replay).
     pub(crate) control_toggles: u64,
-    /// The specialized combinational evaluation.
+    /// The specialized combinational evaluation, quiet instructions
+    /// pruned.
     pub(crate) instrs: Vec<Instr>,
     /// Memory elements receiving a clock pulse this step (component
     /// indices, id order).
@@ -124,6 +177,10 @@ pub struct CompiledNetlist<'a> {
     pub(crate) cold: Vec<StepProgram>,
     /// Step programs of every later period.
     pub(crate) warm: Vec<StepProgram>,
+    /// Clock pulses each component receives in the cold period.
+    cold_pulses: Vec<u64>,
+    /// Clock pulses each component receives in one warm period.
+    warm_pulses: Vec<u64>,
     /// Largest capture list across all step programs (capture-buffer
     /// capacity).
     pub(crate) max_captures: usize,
@@ -143,7 +200,7 @@ impl<'a> CompiledNetlist<'a> {
                 init_nets[netlist.component(c).output().index()] = value & mask;
             }
         }
-        let input_nets = netlist
+        let input_nets: Vec<u32> = netlist
             .inputs()
             .iter()
             .map(|(_, c)| netlist.component(*c).output().index() as u32)
@@ -176,12 +233,22 @@ impl<'a> CompiledNetlist<'a> {
             .map(|m| capture_of(netlist, m.comp()))
             .collect();
 
-        let cold: Vec<StepProgram> = (1..=period)
+        let mut cold: Vec<StepProgram> = (1..=period)
             .map(|t| lower_step(netlist, mode, t, &mut replay, &mut fn_state))
             .collect();
-        let warm: Vec<StepProgram> = (1..=period)
+        let mut warm: Vec<StepProgram> = (1..=period)
             .map(|t| lower_step(netlist, mode, t, &mut replay, &mut fn_state))
             .collect();
+        prune_quiet(&mut cold, &mut warm, &input_nets, netlist.num_nets());
+        let pulse_counts = |steps: &[StepProgram]| {
+            let mut counts = vec![0u64; nc];
+            for &m in steps.iter().flat_map(|p| &p.pulses) {
+                counts[m as usize] += 1;
+            }
+            counts
+        };
+        let cold_pulses = pulse_counts(&cold);
+        let warm_pulses = pulse_counts(&warm);
         let max_captures = cold
             .iter()
             .chain(&warm)
@@ -201,13 +268,31 @@ impl<'a> CompiledNetlist<'a> {
             preload_captures,
             cold,
             warm,
+            cold_pulses,
+            warm_pulses,
             max_captures,
         }
     }
 
+    /// Clock pulses each component receives over `computations`
+    /// computations: its cold-period count plus `computations - 1` times
+    /// its warm-period count. Pulse lists are fixed at compile time, so
+    /// the step loops never count them per element.
+    pub(crate) fn clock_pulses(&self, computations: usize) -> Vec<u64> {
+        if computations == 0 {
+            return vec![0; self.num_comps];
+        }
+        let warm_periods = computations as u64 - 1;
+        self.cold_pulses
+            .iter()
+            .zip(&self.warm_pulses)
+            .map(|(&cold, &warm)| cold + warm * warm_periods)
+            .collect()
+    }
+
     /// How many instructions one sweep of `computations` computations
-    /// executes: the silent reset preload, one cold period, and
-    /// `computations - 1` warm periods. Analytic — the per-step
+    /// executes after pruning: the silent reset preload, one cold period,
+    /// and `computations - 1` warm periods. Analytic — the per-step
     /// instruction streams are fixed at compile time — so tracing can
     /// report it without touching the hot loop.
     pub(crate) fn instructions_executed(&self, computations: usize) -> u64 {
@@ -236,21 +321,34 @@ impl<'a> CompiledNetlist<'a> {
         collect_profile: bool,
     ) -> Result<SimResult, crate::engine::SimError> {
         let bound = BoundInputs::bind(self.netlist, vectors)?;
-        Ok(self.run(&bound, collect_trace, collect_profile))
+        Ok(self.run(&bound, collect_trace, collect_profile, true))
+    }
+
+    /// Simulates `computations` random computations with the stimulus
+    /// [`simulate`](crate::simulate) draws for `seed` and returns only the
+    /// switching activity — no per-computation output maps, no trace, no
+    /// profile. The form power estimation consumes; bit-identical to
+    /// `simulate(..).activity` under the same configuration.
+    #[must_use]
+    pub fn run_activity(&self, computations: usize, seed: u64) -> Activity {
+        let bound = BoundInputs::random(self.netlist, computations, seed);
+        self.run(&bound, false, false, false).activity
     }
 
     /// Executes the compiled program over bound inputs. Bit-identical to
-    /// the interpreter's `Engine::run`.
+    /// the interpreter's `Engine::run`; with `collect_outputs` off the
+    /// result carries no output maps.
     pub(crate) fn run(
         &self,
         bound: &BoundInputs,
         collect_trace: bool,
         collect_profile: bool,
+        collect_outputs: bool,
     ) -> SimResult {
         let nl = self.netlist;
         let ni = self.input_nets.len();
         let computations = bound.computations;
-        let mut outputs = Vec::with_capacity(computations);
+        let mut outputs = Vec::with_capacity(if collect_outputs { computations } else { 0 });
         let mut trace = if collect_trace {
             Some(Vec::new())
         } else {
@@ -317,11 +415,8 @@ impl<'a> CompiledNetlist<'a> {
                 for instr in &program.instrs {
                     st.exec(*instr);
                 }
-                // 4. Clock edges and captures (two-phase commit through
-                // the reusable buffer).
-                for &m in &program.pulses {
-                    st.activity.clock_pulses[m as usize] += 1;
-                }
+                // 4. Clock edges (per-element counts are analytic) and
+                // captures (two-phase commit through the reusable buffer).
                 st.clock_total += program.pulses.len() as u64;
                 capture_buf.clear();
                 capture_buf.extend(
@@ -363,14 +458,17 @@ impl<'a> CompiledNetlist<'a> {
                     prev = now;
                 }
             }
-            let out: BTreeMap<String, u64> = nl
-                .outputs()
-                .iter()
-                .map(|(name, net)| (name.clone(), st.nets[net.index()]))
-                .collect();
-            outputs.push(out);
+            if collect_outputs {
+                let out: BTreeMap<String, u64> = nl
+                    .outputs()
+                    .iter()
+                    .map(|(name, net)| (name.clone(), st.nets[net.index()]))
+                    .collect();
+                outputs.push(out);
+            }
             st.activity.computations += 1;
         }
+        st.activity.clock_pulses = self.clock_pulses(computations);
 
         if mc_trace::enabled() {
             // The instruction total is analytic (the per-step streams are
@@ -514,6 +612,89 @@ fn lower_silent_settle(netlist: &Netlist, replay: &ControlReplay) -> Vec<Instr> 
         .collect()
 }
 
+/// Drops the quiet instructions of both periods — see the module docs
+/// for the rule and why it is exact. Every unpruned step program holds
+/// one instruction per component in combinational order, so instruction
+/// `i` of a step and of its predecessors lower the same component; all
+/// decisions are therefore taken before any program shrinks.
+fn prune_quiet(
+    cold: &mut [StepProgram],
+    warm: &mut [StepProgram],
+    input_nets: &[u32],
+    num_nets: usize,
+) {
+    // A controller has at least one step, so both periods are non-empty.
+    let period = cold.len();
+    let last = period - 1;
+    let mut live = Vec::with_capacity(2 * period);
+    live.push(vec![true; cold[0].instrs.len()]);
+    for k in 1..period {
+        live.push(live_instrs(
+            &cold[k],
+            &[&cold[k - 1]],
+            k == last,
+            input_nets,
+            num_nets,
+        ));
+    }
+    for k in 0..period {
+        let preds = if k == 0 {
+            vec![&cold[last], &warm[last]]
+        } else {
+            vec![&warm[k - 1]]
+        };
+        live.push(live_instrs(
+            &warm[k],
+            &preds,
+            k == last,
+            input_nets,
+            num_nets,
+        ));
+    }
+    for (program, keep) in cold.iter_mut().chain(warm.iter_mut()).zip(live) {
+        let mut keep = keep.into_iter();
+        program
+            .instrs
+            .retain(|_| keep.next().expect("one decision per instruction"));
+    }
+}
+
+/// Which instructions of the unpruned `step` must execute, given every
+/// step that can run immediately before it: an instruction is dropped
+/// when each predecessor runs the identical instruction and none of the
+/// nets it reads may have changed since — no boundary drive (`boundary`
+/// marks the input-driving step), no predecessor capture and no
+/// instruction kept earlier in this step wrote them.
+fn live_instrs(
+    step: &StepProgram,
+    preds: &[&StepProgram],
+    boundary: bool,
+    input_nets: &[u32],
+    num_nets: usize,
+) -> Vec<bool> {
+    let mut changed = vec![false; num_nets];
+    if boundary {
+        for &net in input_nets {
+            changed[net as usize] = true;
+        }
+    }
+    for cap in preds.iter().flat_map(|p| &p.captures) {
+        changed[cap.out as usize] = true;
+    }
+    step.instrs
+        .iter()
+        .enumerate()
+        .map(|(i, &instr)| {
+            let live = preds.iter().any(|p| p.instrs[i] != instr)
+                || instr.reads().any(|net| changed[net as usize]);
+            if live {
+                changed[instr.dst() as usize] = true;
+            }
+            live
+        })
+        .collect()
+}
+
 /// Advances the control replay through step `t` and lowers the step into
 /// its program: effective control values resolve mux selects and ALU
 /// functions to constants, control toggles fold into one integer, and the
@@ -640,4 +821,42 @@ fn lower_step(
         }
     }
     program
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use mc_alloc::{allocate, AllocOptions, Strategy};
+    use mc_clocks::ClockScheme;
+    use mc_dfg::benchmarks;
+
+    /// Pins the pruning itself: every bit-identity test would still pass
+    /// if a refactor silently stopped dropping quiet instructions.
+    #[test]
+    fn hal_multiclock_warm_period_runs_fewer_instructions_than_it_lowers() {
+        let bm = benchmarks::hal();
+        let opts = AllocOptions::new(Strategy::Integrated, ClockScheme::new(3).unwrap());
+        let netlist = allocate(&bm.dfg, &bm.schedule, &opts).unwrap().netlist;
+        let program = CompiledNetlist::compile(&netlist, PowerMode::multiclock());
+        let order = netlist.combinational_order().len();
+        let sum = |steps: &[StepProgram]| steps.iter().map(|s| s.instrs.len()).sum::<usize>();
+        let (cold, warm) = (sum(&program.cold), sum(&program.warm));
+        assert!(
+            warm < order * program.period as usize,
+            "warm period executes {warm} of {} lowered instructions",
+            order * program.period as usize
+        );
+        assert_eq!(
+            program.cold[0].instrs.len(),
+            order,
+            "cold step 1 stays whole"
+        );
+        assert_eq!(program.instructions_executed(0), 0);
+        for computations in [1usize, 2, 9] {
+            assert_eq!(
+                program.instructions_executed(computations),
+                (program.preload_instrs.len() + cold + warm * (computations - 1)) as u64
+            );
+        }
+    }
 }

@@ -283,6 +283,7 @@ fn run_bound(netlist: &Netlist, bound: &BoundInputs, config: &SimConfig) -> SimR
             bound,
             config.collect_trace,
             config.collect_profile,
+            true,
         ),
     };
     if config.keep_inputs || config.collect_trace {

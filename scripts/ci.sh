@@ -174,18 +174,31 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # Benchmark smoke: perfbench/ (a Cargo workspace of its own, so the
 # workspace stages above never build it) names library items, so an API
 # change that breaks the repository benchmark fails here. Its self-tests
-# run, then one untraced and one traced retrofit_mc run; each run's last
-# line must report every output check correct and no failed operation.
-# No timing is gated. perfbench writes .perfbench_work/ in its working
-# directory, so both runs start in the scratch directory.
+# run, then one untraced and one traced retrofit_mc run, then two traced
+# paper_eval runs; each run's last line must report every output check
+# correct and no failed operation, and the two paper_eval runs must print
+# byte-identical exact-counts lines (the table path's simulated work is
+# deterministic). No timing is gated. perfbench writes .perfbench_work/
+# in its working directory, so every run starts in the scratch directory.
 PERFBENCH_MANIFEST="$(pwd)/perfbench/Cargo.toml"
 run cargo test -q --release --manifest-path "$PERFBENCH_MANIFEST"
-for trace in 0 1; do
-    echo "==> perfbench smoke: retrofit_mc --trace $trace"
-    last="$(cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$PERFBENCH_MANIFEST" -- \
-        --workload retrofit_mc --seed 1 --seconds 1 --trace "$trace" | tail -n 1)"
+perfbench_smoke() { # workload trace out-file
+    echo "==> perfbench smoke: $1 --trace $2"
+    (cd "$SMOKE_DIR" && cargo run -q --release --manifest-path "$PERFBENCH_MANIFEST" -- \
+        --workload "$1" --seed 1 --seconds 1 --trace "$2") > "$3"
+    local last
+    last="$(tail -n 1 "$3")"
     grep -q '"correct":true' <<< "$last" && grep -qE '"failed":0[,}]' <<< "$last" \
-        || { echo "ci.sh: perfbench --trace $trace run failed: $last" >&2; exit 1; }
+        || { echo "ci.sh: perfbench $1 --trace $2 run failed: $last" >&2; exit 1; }
+}
+perfbench_smoke retrofit_mc 0 "$SMOKE_DIR/perfbench.out"
+perfbench_smoke retrofit_mc 1 "$SMOKE_DIR/perfbench.out"
+for pass in 1 2; do
+    perfbench_smoke paper_eval 1 "$SMOKE_DIR/paper_eval.$pass.out"
+    grep '^exact-counts ' "$SMOKE_DIR/paper_eval.$pass.out" > "$SMOKE_DIR/paper_eval.$pass.counts" \
+        || { echo "ci.sh: perfbench paper_eval run $pass printed no exact-counts" >&2; exit 1; }
 done
+cmp "$SMOKE_DIR/paper_eval.1.counts" "$SMOKE_DIR/paper_eval.2.counts" \
+    || { echo "ci.sh: perfbench paper_eval exact-counts differ between runs" >&2; exit 1; }
 
 echo "==> ci.sh: all checks passed"

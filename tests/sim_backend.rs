@@ -1,7 +1,7 @@
 //! Differential tests: the compiled simulation kernel must be
 //! bit-identical to the reference interpreter — activity counters,
 //! outputs, per-step trace and per-step profile — across every built-in
-//! benchmark, power mode, clock count and seed.
+//! benchmark, random DFGs, every power mode, clock count and seed.
 //!
 //! This is the contract that lets every consumer (tables, sweeps,
 //! equivalence checks, power reports) run on the kernel by default while
@@ -10,7 +10,7 @@
 use mc_alloc::{allocate, AllocOptions, Strategy};
 use mc_clocks::ClockScheme;
 use mc_dfg::benchmarks;
-use mc_rtl::{Netlist, PowerMode};
+use mc_rtl::{ControlPolicy, Netlist, PowerMode};
 use mc_sim::{simulate, CompiledNetlist, SimBackend, SimConfig, Stimulus};
 
 /// The allocation strategies that apply to `n` clocks.
@@ -22,16 +22,42 @@ fn strategies(n: u32) -> &'static [Strategy] {
     }
 }
 
-fn modes() -> [PowerMode; 3] {
-    [
-        PowerMode::non_gated(),
-        PowerMode::gated(),
-        PowerMode::multiclock(),
-    ]
+/// All eight power modes: gated clocks × operand isolation × control
+/// policy. Beyond the three paper styles this covers combinations only
+/// the explorer's gating variants produce, such as operand isolation
+/// under latched (`Hold`) control lines.
+fn modes() -> Vec<PowerMode> {
+    let mut modes = Vec::new();
+    for gated_mem_clocks in [false, true] {
+        for operand_isolation in [false, true] {
+            for control_policy in [ControlPolicy::Hold, ControlPolicy::Zero] {
+                modes.push(PowerMode {
+                    gated_mem_clocks,
+                    operand_isolation,
+                    control_policy,
+                });
+            }
+        }
+    }
+    modes
+}
+
+/// Random scheduled DFGs (`random:<nodes>:<seed>`): 12, 24 and 40 nodes,
+/// three seeds each, so the kernel meets datapath shapes no hand-written
+/// benchmark has.
+fn random_benchmarks() -> Vec<benchmarks::Benchmark> {
+    [12u32, 24, 40]
+        .into_iter()
+        .flat_map(|nodes| {
+            [1u64, 2, 3].map(|seed| benchmarks::parse_name(&format!("random:{nodes}:{seed}")))
+        })
+        .map(|bm| bm.expect("valid random benchmark spec"))
+        .collect()
 }
 
 /// Runs both backends under identical configuration and asserts the full
-/// result is bit-identical.
+/// result is bit-identical, and that the compiled kernel's activity-only
+/// run reproduces the same counters.
 fn assert_backends_agree(netlist: &Netlist, mode: PowerMode, computations: usize, seed: u64) {
     let base = SimConfig::new(mode, computations, seed)
         .with_trace()
@@ -54,6 +80,13 @@ fn assert_backends_agree(netlist: &Netlist, mode: PowerMode, computations: usize
     assert_eq!(
         compiled.inputs, interpreted.inputs,
         "inputs diverged: {ctx}"
+    );
+    let mut expected = compiled.activity;
+    expected.per_step = None;
+    assert_eq!(
+        CompiledNetlist::compile(netlist, mode).run_activity(computations, seed),
+        expected,
+        "activity-only run diverged: {ctx}"
     );
 }
 
@@ -80,7 +113,10 @@ fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
 
 #[test]
 fn kernel_matches_interpreter_on_all_benchmarks_modes_clocks_seeds() {
-    for bm in benchmarks::all_benchmarks() {
+    for bm in benchmarks::all_benchmarks()
+        .into_iter()
+        .chain(random_benchmarks())
+    {
         for n in 1u32..=4 {
             for &strategy in strategies(n) {
                 let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());
@@ -97,6 +133,25 @@ fn kernel_matches_interpreter_on_all_benchmarks_modes_clocks_seeds() {
     }
     for (netlist, mode) in paper_table_points() {
         assert_backends_agree(&netlist, mode, 16, 42);
+    }
+    // Primary inputs feeding logic directly, through an ALU and a mux
+    // that run identically every step: only the boundary-step drive
+    // changes their operands, so the kernel must not skip them then.
+    let direct = mc_rtl::import::from_mcnl(
+        "design direct 4 1 3\n\
+         input x\ninput y\n\
+         alu sum (+-) x y\nmux m x sum\n\
+         dff r 1 m\ndff s 1 sum\n\
+         output o r\noutput p s\n\
+         ctrl 1 fn=sum:+ sel=m:0\n\
+         ctrl 2 fn=sum:+ sel=m:1 load=r\n\
+         ctrl 3 fn=sum:+ sel=m:1 load=r load=s\n",
+    )
+    .expect("valid netlist");
+    for mode in modes() {
+        for seed in [3u64, 17, 2026] {
+            assert_backends_agree(&direct, mode, 6, seed);
+        }
     }
 }
 

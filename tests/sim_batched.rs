@@ -1,8 +1,9 @@
 //! Differential tests for the batched multi-lane kernel: every lane of a
 //! batched run must be bit-identical to a scalar compiled run with the
 //! same seed — activity counters, per-step profiles and outputs — across
-//! every built-in benchmark, power mode, clock count and lane width,
-//! including partial final batches and the activity-only fast path.
+//! every built-in benchmark and a random DFG, power mode, clock count and
+//! lane width, including partial final batches and the activity-only
+//! fast path.
 //!
 //! This is the lane determinism contract that lets Monte-Carlo power
 //! estimation sweep seeds through the batched kernel while single-seed
@@ -109,7 +110,8 @@ fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
 #[test]
 fn batched_lanes_match_scalar_on_all_benchmarks_modes_clocks_widths() {
     let seeds = [3u64, 17, 2026];
-    for bm in benchmarks::all_benchmarks() {
+    let random = benchmarks::parse_name("random:24:2").expect("valid random benchmark spec");
+    for bm in benchmarks::all_benchmarks().into_iter().chain([random]) {
         for n in 1u32..=4 {
             for &strategy in strategies(n) {
                 let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());

@@ -1,9 +1,10 @@
 //! Differential tests for the bit-sliced (bit-plane) kernel: every seed
 //! of a bit-sliced population must be bit-identical to a scalar compiled
 //! run with the same seed — activity counters, per-step profiles and
-//! outputs — across every built-in benchmark, power mode, clock count
-//! and allocation strategy, including partial populations handled by the
-//! tail mask and populations spanning several 64-seed sweeps.
+//! outputs — across every built-in benchmark and a random DFG, power
+//! mode, clock count and allocation strategy, including partial
+//! populations handled by the tail mask and populations spanning several
+//! 64-seed sweeps.
 //!
 //! This is the determinism contract that lets the Monte-Carlo estimator,
 //! the explorer and the retrofit verifier switch backends freely: the
@@ -113,7 +114,8 @@ fn paper_table_points() -> Vec<(Netlist, PowerMode)> {
 #[test]
 fn bitsliced_seeds_match_scalar_on_all_benchmarks_modes_clocks() {
     let seeds = [3u64, 17, 2026];
-    for bm in benchmarks::all_benchmarks() {
+    let random = benchmarks::parse_name("random:24:2").expect("valid random benchmark spec");
+    for bm in benchmarks::all_benchmarks().into_iter().chain([random]) {
         for n in 1u32..=4 {
             for &strategy in strategies(n) {
                 let opts = AllocOptions::new(strategy, ClockScheme::new(n).unwrap());
