@@ -600,8 +600,8 @@ impl Flow {
     /// [`BatchBackend::Batched`]; only used when
     /// [`Flow::with_power_seeds`] exceeds one). Like the lane width, the
     /// backend never affects results — every backend is bit-identical to
-    /// the scalar compiled kernel — so it is deliberately excluded from
-    /// the report cache key.
+    /// the single-seed run — so it is deliberately excluded from the
+    /// report cache key.
     #[must_use]
     pub fn with_batch_backend(mut self, backend: BatchBackend) -> Self {
         self.backend = backend;

@@ -23,7 +23,7 @@ use mc_dfg::benchmarks::Benchmark;
 use mc_dfg::{Dfg, Schedule};
 use mc_power::{evaluate_design_with_activity, DesignReport};
 use mc_rtl::PowerMode;
-use mc_sim::{Activity, SimBackend, SimConfig};
+use mc_sim::Activity;
 
 use crate::flow::{Artifact, Evaluated, Flow, FlowContext, Pass};
 use crate::style::DesignStyle;
@@ -267,11 +267,8 @@ pub struct SimTrace {
     pub mode: PowerMode,
     /// Computations simulated.
     pub computations: usize,
-    /// The execution backend that produced the trace.
-    pub backend: SimBackend,
     /// Simulation throughput in control steps per second (compile time
-    /// included for the compiled backend; aggregated across seeds for
-    /// Monte-Carlo runs).
+    /// included; aggregated across seeds for Monte-Carlo runs).
     pub steps_per_sec: f64,
     /// Per-seed activities of a Monte-Carlo run (empty for the
     /// historical single-seed path; `seed_activities[0]` is the flow
@@ -315,15 +312,14 @@ impl Pass for SimulatePass {
         datapath: Self::Input<'_>,
         ctx: &mut FlowContext,
     ) -> Result<Self::Output, SynthesisError> {
-        let cfg = SimConfig::new(self.mode, ctx.computations(), ctx.seed());
         if ctx.power_seeds() > 1 {
-            return self.run_monte_carlo(datapath, ctx, cfg.backend);
+            return self.run_monte_carlo(datapath, ctx);
         }
         // Power needs only the activity counters: skip the per-computation
         // output maps `simulate` would build.
         let started = std::time::Instant::now();
         let activity = mc_sim::CompiledNetlist::compile(&datapath.netlist, self.mode)
-            .run_activity(cfg.computations, cfg.seed);
+            .run_activity(ctx.computations(), ctx.seed());
         let elapsed = started.elapsed().as_secs_f64();
         let steps_per_sec = if elapsed > 0.0 {
             activity.steps as f64 / elapsed
@@ -333,8 +329,7 @@ impl Pass for SimulatePass {
         ctx.info(
             self.name(),
             format!(
-                "{} backend: {} steps in {:.2} ms ({:.3e} steps/s)",
-                cfg.backend,
+                "compiled backend: {} steps in {:.2} ms ({:.3e} steps/s)",
                 activity.steps,
                 elapsed * 1e3,
                 steps_per_sec
@@ -344,7 +339,6 @@ impl Pass for SimulatePass {
             activity,
             mode: self.mode,
             computations: ctx.computations(),
-            backend: cfg.backend,
             steps_per_sec,
             seed_activities: Vec::new(),
         })
@@ -362,7 +356,6 @@ impl SimulatePass {
         &self,
         datapath: &Datapath,
         ctx: &mut FlowContext,
-        backend: SimBackend,
     ) -> Result<SimTrace, SynthesisError> {
         let seeds = mc_power::derive_seeds(ctx.seed(), ctx.power_seeds());
         let started = std::time::Instant::now();
@@ -394,7 +387,6 @@ impl SimulatePass {
             activity,
             mode: self.mode,
             computations: ctx.computations(),
-            backend,
             steps_per_sec,
             seed_activities,
         })

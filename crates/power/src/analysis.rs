@@ -2,8 +2,7 @@
 //! component busy fractions under overlapped computations, and the
 //! capacitance conditions under which the multi-clock scheme wins —
 //! plus the Monte-Carlo summary statistics behind multi-seed power
-//! estimation (mean, variance, 95 % confidence interval, and the
-//! sequential-batch early-stopping rule).
+//! estimation (mean, variance and 95 % confidence interval).
 
 /// Busy fraction of a component that operates in `busy_steps` of a `t`-step
 /// behaviour whose consecutive computations overlap by `overlap` steps
@@ -118,16 +117,6 @@ pub fn monte_carlo_stats(samples: &[f64]) -> MonteCarloStats {
     }
 }
 
-/// The sequential-batch early-stopping rule: after each completed batch
-/// of seeds, stop once the 95 % CI half-width falls to `rel_ci` of the
-/// absolute mean (e.g. `0.01` = ±1 %). Requires at least two samples —
-/// a single sample has no variance estimate — and treats a zero mean as
-/// unconverged unless the half-width is exactly zero.
-#[must_use]
-pub fn ci_converged(stats: &MonteCarloStats, rel_ci: f64) -> bool {
-    stats.samples >= 2 && stats.ci95_half_width <= rel_ci * stats.mean.abs()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +176,6 @@ mod tests {
         let one = monte_carlo_stats(&[7.0]);
         assert_eq!(one.variance, 0.0);
         assert_eq!(one.ci95_half_width, 0.0);
-        assert!(!ci_converged(&one, 0.5), "one sample never converges");
     }
 
     #[test]
@@ -200,13 +188,5 @@ mod tests {
         assert_eq!(one.std_dev, 0.0, "std must be exactly 0, not NaN");
         assert_eq!(one.ci95_half_width, 0.0, "CI must be exactly 0, not NaN");
         assert!(one.std_dev.is_finite() && one.ci95_half_width.is_finite());
-    }
-
-    #[test]
-    fn convergence_requires_a_tight_interval() {
-        let tight = monte_carlo_stats(&[10.0, 10.01, 9.99, 10.0]);
-        assert!(ci_converged(&tight, 0.01));
-        let loose = monte_carlo_stats(&[5.0, 15.0, 2.0, 18.0]);
-        assert!(!ci_converged(&loose, 0.01));
     }
 }

@@ -507,30 +507,6 @@ pub fn evaluate_design_monte_carlo(
     }
 }
 
-/// Configuration of an adaptive Monte-Carlo power evaluation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct MonteCarloConfig {
-    /// Random computations per seed.
-    pub computations: usize,
-    /// First stimulus seed; seed `k` derives deterministically from it
-    /// (see [`derive_seeds`]), so identical configurations yield
-    /// bit-identical reports.
-    pub base_seed: u64,
-    /// Hard ceiling on the number of seeds.
-    pub max_seeds: usize,
-    /// Lane width of the batched kernel — also the sequential batch
-    /// granularity of the early-stopping check.
-    pub lanes: usize,
-    /// The multi-seed kernel to simulate through. Backends are
-    /// bit-identical per seed; only the early-stopping granularity
-    /// (one kernel sweep) depends on the choice.
-    pub backend: mc_sim::BatchBackend,
-    /// Early-stopping threshold: stop once the 95 % CI half-width is at
-    /// most this fraction of the mean (checked after each completed
-    /// batch; `None` always runs `max_seeds`).
-    pub rel_ci: Option<f64>,
-}
-
 /// Deterministic seed schedule for Monte-Carlo runs: seed `0` is `base`
 /// itself (so lane 0 reproduces the single-seed run exactly) and later
 /// seeds stride by the 64-bit golden ratio.
@@ -539,42 +515,6 @@ pub fn derive_seeds(base: u64, n: usize) -> Vec<u64> {
     (0..n)
         .map(|k| base.wrapping_add((k as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
         .collect()
-}
-
-/// Adaptive Monte-Carlo evaluation: simulates seeds through the selected
-/// multi-seed kernel one sweep at a time, prices each lane, and stops
-/// early once the 95 % CI half-width of the total power falls under
-/// `cfg.rel_ci` of the mean (sequential-batch early stopping). Runs at
-/// most `cfg.max_seeds` seeds.
-///
-/// # Panics
-///
-/// Panics if `cfg.max_seeds` is zero.
-#[must_use]
-pub fn evaluate_design_monte_carlo_adaptive(
-    netlist: &Netlist,
-    mode: PowerMode,
-    lib: &TechLibrary,
-    cfg: &MonteCarloConfig,
-) -> DesignReport {
-    assert!(cfg.max_seeds > 0, "max_seeds must be positive");
-    let seeds = derive_seeds(cfg.base_seed, cfg.max_seeds);
-    let program = mc_sim::SeedKernel::compile(netlist, mode, cfg.backend, cfg.lanes);
-    let mut activities: Vec<mc_sim::Activity> = Vec::with_capacity(cfg.max_seeds);
-    let mut totals: Vec<f64> = Vec::with_capacity(cfg.max_seeds);
-    for chunk in seeds.chunks(program.lanes().max(1)) {
-        for activity in program.run_seeds_activity(cfg.computations, chunk, false) {
-            totals.push(estimate_power(netlist, &activity, lib).total_mw);
-            activities.push(activity);
-        }
-        if let Some(rel) = cfg.rel_ci {
-            let stats = crate::analysis::monte_carlo_stats(&totals);
-            if crate::analysis::ci_converged(&stats, rel) {
-                break;
-            }
-        }
-    }
-    evaluate_design_monte_carlo(netlist, mode, lib, &activities)
 }
 
 #[cfg(test)]
@@ -821,59 +761,6 @@ mod tests {
         let single = evaluate_design(&nl, mode, &lib, 60, 7);
         let first = estimate_power(&nl, &activities[0], &lib);
         assert_eq!(first, single.power);
-    }
-
-    #[test]
-    fn adaptive_evaluation_stops_early_when_converged() {
-        let nl = hal(2, Strategy::Integrated);
-        let lib = TechLibrary::vsc450();
-        let mode = PowerMode::multiclock();
-        // A generous threshold stops at the first CI check (one batch).
-        let loose = evaluate_design_monte_carlo_adaptive(
-            &nl,
-            mode,
-            &lib,
-            &MonteCarloConfig {
-                computations: 40,
-                base_seed: 7,
-                max_seeds: 32,
-                lanes: 4,
-                backend: mc_sim::BatchBackend::Batched,
-                rel_ci: Some(0.5),
-            },
-        );
-        assert_eq!(loose.power_ci.unwrap().seeds, 4);
-        // An unreachable threshold runs the full budget.
-        let tight = evaluate_design_monte_carlo_adaptive(
-            &nl,
-            mode,
-            &lib,
-            &MonteCarloConfig {
-                computations: 40,
-                base_seed: 7,
-                max_seeds: 8,
-                lanes: 4,
-                backend: mc_sim::BatchBackend::Batched,
-                rel_ci: Some(0.0),
-            },
-        );
-        assert_eq!(tight.power_ci.unwrap().seeds, 8);
-        // Determinism: identical configurations, identical reports.
-        let again = evaluate_design_monte_carlo_adaptive(
-            &nl,
-            mode,
-            &lib,
-            &MonteCarloConfig {
-                computations: 40,
-                base_seed: 7,
-                max_seeds: 8,
-                lanes: 4,
-                backend: mc_sim::BatchBackend::Batched,
-                rel_ci: Some(0.0),
-            },
-        );
-        assert_eq!(tight.power, again.power);
-        assert_eq!(tight.power_ci, again.power_ci);
     }
 
     #[test]

@@ -286,7 +286,9 @@ pub fn from_vhdl(text: &str) -> Result<Netlist, ImportError> {
                 .split_once(" downto")
                 .and_then(|(h, _)| h.parse().ok())
                 .ok_or_else(|| bad(i + 1, "malformed bit_vector range"))?;
-            if hi >= 64 {
+            // Datapath masks are `(1 << width) - 1`, so 63 bits is the
+            // widest a simulation can represent.
+            if hi >= 63 {
                 return Err(bad(i + 1, format!("unsupported width {}", hi + 1)));
             }
             width = Some(hi as u8 + 1);
@@ -608,7 +610,8 @@ pub fn from_mcnl(text: &str) -> Result<Netlist, ImportError> {
             let w: u32 = w
                 .parse()
                 .map_err(|e| bad(dln, format!("bad width `{w}`: {e}")))?;
-            if !(1..=64).contains(&w) {
+            // 63 bits is the widest datapath mask, as in `from_vhdl`.
+            if !(1..=63).contains(&w) {
                 return Err(bad(dln, format!("unsupported width {w}")));
             }
             let c: u32 = c

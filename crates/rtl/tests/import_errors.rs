@@ -135,6 +135,36 @@ fn every_error_variant_is_reachable() {
     );
 }
 
+/// Datapath masks are `(1 << width) - 1`, so a 64-bit design would
+/// simulate with every mask wrapped to zero. Both importers refuse it
+/// with the typed width error and still accept 63 bits.
+#[test]
+fn sixty_four_bit_designs_are_rejected_by_both_importers() {
+    let nl = sample();
+    let mcnl = to_mcnl(&nl);
+    let header = "design fuzz_sample 8 2 2";
+    assert!(mcnl.contains(header), "export must carry the design line");
+    let wide = from_mcnl(&mcnl.replace(header, "design fuzz_sample 64 2 2")).unwrap_err();
+    assert!(
+        matches!(wide, ImportError::BadValue { ref message, .. } if message == "unsupported width 64"),
+        "{wide}"
+    );
+    let widest = from_mcnl(&mcnl.replace(header, "design fuzz_sample 63 2 2")).unwrap();
+    assert_eq!(widest.width(), 63);
+
+    let vhdl = to_vhdl(&nl);
+    assert!(vhdl.contains("bit_vector(7 downto 0)"));
+    let wide =
+        from_vhdl(&vhdl.replace("bit_vector(7 downto 0)", "bit_vector(63 downto 0)")).unwrap_err();
+    assert!(
+        matches!(wide, ImportError::BadValue { ref message, .. } if message == "unsupported width 64"),
+        "{wide}"
+    );
+    let widest =
+        from_vhdl(&vhdl.replace("bit_vector(7 downto 0)", "bit_vector(62 downto 0)")).unwrap();
+    assert_eq!(widest.width(), 63);
+}
+
 /// Error messages locate the offending line for every variant — they are
 /// what `mcpm retrofit --file` prints verbatim.
 #[test]

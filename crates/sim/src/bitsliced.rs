@@ -75,7 +75,7 @@
 //! seed `seeds[k]` — activity counters, per-step profiles and outputs —
 //! enforced differentially by `tests/sim_bitsliced.rs` across every
 //! benchmark, mode, clock count and population size. Traces are not
-//! collected (as in batched mode, the scalar path covers VCD export).
+//! collected (the one-lane batched run covers VCD export).
 
 use std::fmt;
 
@@ -374,7 +374,7 @@ impl<'a> BitslicedProgram<'a> {
     }
 
     /// Analytic plane-op total of one sweep (preload + cold period +
-    /// `computations - 1` warm periods), mirroring the scalar kernel's
+    /// `computations - 1` warm periods), mirroring the lowering's
     /// analytic instruction count.
     fn plane_ops_executed(&self, computations: usize) -> u64 {
         if computations == 0 {
@@ -951,7 +951,7 @@ impl VerticalCounters {
     /// Doubles the depth and deposits a carry that rippled off the end
     /// of an entity's row. Past count bit 64 a lane's count would wrap
     /// `u64` — unreachable in practice — and the carry is dropped,
-    /// matching the scalar kernel's release-mode wrap.
+    /// matching the batched kernel's release-mode wrap.
     #[cold]
     fn overflow(&mut self, entity: usize, carry: u64) {
         if self.depth >= u64::BITS as usize {
@@ -1089,7 +1089,7 @@ impl Runner {
     /// Commits a result row to net `dst`'s planes: diffs every plane
     /// branchlessly into a column sum, folds a nonzero sum into the
     /// toggle counters with one add, and stamps the net's generation —
-    /// the plane twin of the scalar kernel's `set_net` (planes are
+    /// the plane twin of the batched kernel's `set_net_row` (planes are
     /// width-bounded, so masking is structural).
     #[inline]
     fn commit_row<const W: usize>(&mut self, dst: u32, vals: &[u64]) {
@@ -1243,7 +1243,7 @@ impl Runner {
 
     /// Executes one silent preload instruction: same dataflow, no
     /// activity counting, no history refresh, no generation stamps —
-    /// exactly the scalar kernel's reset settle.
+    /// exactly the batched kernel's reset settle.
     fn exec_silent<const W: usize>(&mut self, pi: &PInstr) {
         let w = if W == 0 { self.w } else { W };
         match *pi {
@@ -1356,7 +1356,7 @@ impl Runner {
     }
 
     /// Lane `l`'s running totals (profile mode): the bit-sliced twin of
-    /// the scalar kernel's running-total snapshot.
+    /// the batched kernel's per-lane running totals.
     fn running_profile(&self, lane: usize) -> StepActivity {
         let t = self.totals.as_ref().expect("profiling collects totals");
         StepActivity {
@@ -1491,10 +1491,10 @@ fn scatter_lanes(vals: &[u64; BITSLICE_LANES], planes: &mut [u64]) {
 
 /// Which multi-seed kernel executes a Monte-Carlo seed schedule.
 ///
-/// Both backends are bit-identical per seed to the scalar compiled
-/// kernel, so the choice is pure throughput: lane-major batching wins
-/// on wide datapaths and small populations, bit-plane slicing wins on
-/// narrow datapaths with many seeds (the paper's 4-bit benchmarks run
+/// Both backends are bit-identical per seed to the interpreter, so the
+/// choice is pure throughput: lane-major batching wins on wide
+/// datapaths and small populations, bit-plane slicing wins on narrow
+/// datapaths with many seeds (the paper's 4-bit benchmarks run
 /// 64 seeds per word). Reports never encode the backend.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum BatchBackend {
@@ -1528,8 +1528,7 @@ impl fmt::Display for BatchBackend {
 
 /// A compiled multi-seed kernel behind the [`BatchBackend`] switch —
 /// the one dispatch point every Monte-Carlo consumer (flow, explorer,
-/// retrofit and rewrite verification, adaptive estimator) compiles
-/// through.
+/// retrofit and rewrite verification) compiles through.
 // One instance exists per Monte-Carlo run and it lives on the stack of
 // that run — the variant size gap never multiplies across a collection.
 #[allow(clippy::large_enum_variant)]
@@ -1571,8 +1570,7 @@ impl<'a> SeedKernel<'a> {
         }
     }
 
-    /// Seeds evaluated per sweep (the chunk granularity of adaptive
-    /// early stopping).
+    /// Seeds evaluated per sweep.
     #[must_use]
     pub fn lanes(&self) -> usize {
         match self {

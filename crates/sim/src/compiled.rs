@@ -1,11 +1,15 @@
-//! The compiled simulation kernel: a one-time lowering of a [`Netlist`]
-//! into a dense, index-addressed program.
+//! The compiled lowering: a one-time translation of a [`Netlist`] into
+//! dense, index-addressed step programs.
+//!
+//! This module only lowers. The programs execute in the batched kernel
+//! ([`batched`](crate::batched)), where a single seed runs as a one-lane
+//! batch; the bit-sliced kernel ([`bitsliced`](crate::bitsliced)) lowers
+//! the same programs once more into bit-plane operations.
 //!
 //! The interpreter in [`engine`](crate::engine) resolves `BTreeMap`-keyed
 //! control words, policy fallbacks and component dispatch on every step.
 //! All of that work is a pure function of the step-in-period and the
-//! control history — never of the data — so the kernel does it once, at
-//! compile time:
+//! control history — never of the data — so the lowering does it once:
 //!
 //! - **Levelized instruction stream.** The topological combinational order
 //!   is flattened into a flat `Vec<Instr>` of `Copy` (mux with its select
@@ -22,10 +26,8 @@
 //!   control-toggle count folded into a single precomputed integer.
 //! - **Slot indexing.** Port bindings, memory activation lists
 //!   (clock-pulse and capture lists filtered by phase and load enable) and
-//!   ALU history live in dense arrays indexed by component position; the
-//!   step loop performs no map lookups and no heap allocation (the capture
-//!   buffer is reused, and per-step profiles are derived from running
-//!   totals instead of re-summing counters).
+//!   ALU history live in dense arrays indexed by component position, so
+//!   the step loop that runs them performs no map lookups.
 //!
 //! - **Quiet-instruction pruning.** A DPM's muxes and ALUs hold their
 //!   operands outside their own phase, so most steps re-issue the very
@@ -52,14 +54,15 @@
 //!   applied the same function has `fn_delta = 0`, so a function change
 //!   is never dropped. By induction over steps, the pruned program leaves
 //!   every net, history slot and counter exactly where the full program
-//!   would. The batched and bit-sliced kernels lower from these same
-//!   programs and skip the same instructions.
+//!   would. Both kernels execute these same programs and skip the same
+//!   instructions.
 //! - **Analytic clock pulses.** Pulse lists are fixed per step, so each
 //!   memory element's pulse count over a run is its cold-period count
 //!   plus `computations − 1` times its warm-period count, computed once
 //!   instead of incremented in the step loop.
 //!
-//! The kernel is differentially tested to be **bit-identical** to the
+//! [`SimBackend::Compiled`](crate::SimBackend::Compiled) runs these
+//! programs and is differentially tested to be **bit-identical** to the
 //! interpreter — same activity counters, outputs, traces and per-step
 //! profiles — on every built-in benchmark, random DFGs, every power
 //! mode, clock count and seed (see `tests/sim_backend.rs`).
@@ -69,7 +72,8 @@ use std::collections::BTreeMap;
 use mc_dfg::{FunctionSet, Op};
 use mc_rtl::{ComponentKind, ControlPolicy, Netlist, PowerMode};
 
-use crate::activity::{Activity, StepActivity};
+use crate::activity::Activity;
+use crate::batched;
 use crate::engine::{bits_for, width_mask, BoundInputs, SimResult};
 
 /// One lowered combinational evaluation.
@@ -151,9 +155,9 @@ struct ControlReplay {
 /// A [`Netlist`] lowered for dense index-addressed execution.
 ///
 /// Compile once with [`CompiledNetlist::compile`], then run any number of
-/// stimuli through it. Selected by [`SimBackend::Compiled`]
-/// (the default), with the interpreter kept as the reference
-/// implementation.
+/// stimuli through it; each runs as a one-lane batch of the batched
+/// kernel. Selected by [`SimBackend::Compiled`] (the default), with the
+/// interpreter kept as the reference implementation.
 ///
 /// [`SimBackend::Compiled`]: crate::SimBackend::Compiled
 #[derive(Debug)]
@@ -321,7 +325,7 @@ impl<'a> CompiledNetlist<'a> {
         collect_profile: bool,
     ) -> Result<SimResult, crate::engine::SimError> {
         let bound = BoundInputs::bind(self.netlist, vectors)?;
-        Ok(self.run(&bound, collect_trace, collect_profile, true))
+        Ok(self.simulate_bound(&bound, collect_trace, collect_profile))
     }
 
     /// Simulates `computations` random computations with the stimulus
@@ -332,229 +336,23 @@ impl<'a> CompiledNetlist<'a> {
     #[must_use]
     pub fn run_activity(&self, computations: usize, seed: u64) -> Activity {
         let bound = BoundInputs::random(self.netlist, computations, seed);
-        self.run(&bound, false, false, false).activity
+        batched::run_single(self, &bound, false, false, false)
+            .0
+            .activity
     }
 
-    /// Executes the compiled program over bound inputs. Bit-identical to
-    /// the interpreter's `Engine::run`; with `collect_outputs` off the
-    /// result carries no output maps.
-    pub(crate) fn run(
+    /// Runs bound inputs as a one-lane batch and returns the scalar
+    /// result form, output maps included.
+    pub(crate) fn simulate_bound(
         &self,
         bound: &BoundInputs,
         collect_trace: bool,
         collect_profile: bool,
-        collect_outputs: bool,
     ) -> SimResult {
-        let nl = self.netlist;
-        let ni = self.input_nets.len();
-        let computations = bound.computations;
-        let mut outputs = Vec::with_capacity(if collect_outputs { computations } else { 0 });
-        let mut trace = if collect_trace {
-            Some(Vec::new())
-        } else {
-            None
-        };
-
-        let mut st = Runner {
-            nets: self.init_nets.clone(),
-            stored: vec![0; self.num_comps],
-            alu_a: vec![0; self.num_comps],
-            alu_b: vec![0; self.num_comps],
-            activity: Activity::new(nl.num_nets(), self.num_comps),
-            mask: self.mask,
-            width: self.width,
-            net_total: 0,
-            input_total: 0,
-            clock_total: 0,
-            store_total: 0,
-        };
-        if collect_profile {
-            st.activity.per_step = Some(Vec::new());
-        }
-        let mut capture_buf: Vec<u64> = Vec::with_capacity(self.max_captures);
-        let mut prev = StepActivity::default();
-
-        // Reset preload (silent: no activity counted).
-        if computations > 0 {
-            for (i, &net) in self.input_nets.iter().enumerate() {
-                st.nets[net as usize] = bound.flat[i];
-            }
-            for instr in &self.preload_instrs {
-                match *instr {
-                    Instr::Copy { src, dst } => st.nets[dst as usize] = st.nets[src as usize],
-                    Instr::Alu { a, b, dst, op, .. } => {
-                        st.nets[dst as usize] =
-                            op.apply(st.nets[a as usize], st.nets[b as usize], self.width);
-                    }
-                    Instr::AluFrozen { .. } => {
-                        unreachable!("preload settle has no frozen ALUs")
-                    }
-                }
-            }
-            for cap in &self.preload_captures {
-                let v = st.nets[cap.input as usize];
-                st.stored[cap.comp as usize] = v;
-                st.nets[cap.out as usize] = v;
-            }
-        }
-
-        for c in 0..computations {
-            let programs = if c == 0 { &self.cold } else { &self.warm };
-            for t in 1..=self.period {
-                let program = &programs[(t - 1) as usize];
-                // 1. Drive ports at the boundary step.
-                if t == self.period && c + 1 < computations {
-                    let base = (c + 1) * ni;
-                    for (i, &net) in self.input_nets.iter().enumerate() {
-                        st.set_net(net, bound.flat[base + i]);
-                    }
-                }
-                // 2. Effective controls: precomputed.
-                st.activity.control_toggles += program.control_toggles;
-                // 3. Combinational evaluation.
-                for instr in &program.instrs {
-                    st.exec(*instr);
-                }
-                // 4. Clock edges (per-element counts are analytic) and
-                // captures (two-phase commit through the reusable buffer).
-                st.clock_total += program.pulses.len() as u64;
-                capture_buf.clear();
-                capture_buf.extend(
-                    program
-                        .captures
-                        .iter()
-                        .map(|cap| st.nets[cap.input as usize]),
-                );
-                for (cap, &v) in program.captures.iter().zip(&capture_buf) {
-                    let old = st.stored[cap.comp as usize];
-                    if old != v {
-                        let flips = (old ^ v).count_ones() as u64;
-                        st.activity.store_toggles[cap.comp as usize] += flips;
-                        st.store_total += flips;
-                        st.stored[cap.comp as usize] = v;
-                    }
-                    st.set_net(cap.out, v);
-                }
-                st.activity.controller_pulses += 1;
-                st.activity.steps += 1;
-                if let Some(tr) = trace.as_mut() {
-                    tr.push(st.nets.clone());
-                }
-                if let Some(per_step) = st.activity.per_step.as_mut() {
-                    let now = StepActivity {
-                        net_toggles: st.net_total,
-                        input_toggles: st.input_total,
-                        clock_pulses: st.clock_total,
-                        store_toggles: st.store_total,
-                        control_toggles: st.activity.control_toggles,
-                    };
-                    per_step.push(StepActivity {
-                        net_toggles: now.net_toggles - prev.net_toggles,
-                        input_toggles: now.input_toggles - prev.input_toggles,
-                        clock_pulses: now.clock_pulses - prev.clock_pulses,
-                        store_toggles: now.store_toggles - prev.store_toggles,
-                        control_toggles: now.control_toggles - prev.control_toggles,
-                    });
-                    prev = now;
-                }
-            }
-            if collect_outputs {
-                let out: BTreeMap<String, u64> = nl
-                    .outputs()
-                    .iter()
-                    .map(|(name, net)| (name.clone(), st.nets[net.index()]))
-                    .collect();
-                outputs.push(out);
-            }
-            st.activity.computations += 1;
-        }
-        st.activity.clock_pulses = self.clock_pulses(computations);
-
-        if mc_trace::enabled() {
-            // The instruction total is analytic (the per-step streams are
-            // precomputed), so the hot loop pays nothing for it.
-            mc_trace::count("sim.runs", 1);
-            mc_trace::count("sim.steps", st.activity.steps);
-            mc_trace::count("sim.instructions", self.instructions_executed(computations));
-            mc_trace::count(
-                "sim.toggles",
-                st.net_total + st.input_total + st.store_total + st.activity.control_toggles,
-            );
-            mc_trace::count("sim.clock_pulses", st.clock_total);
-        }
-
+        let (run, trace) = batched::run_single(self, bound, collect_trace, collect_profile, true);
         SimResult {
-            activity: st.activity,
-            inputs: Vec::new(),
-            outputs,
             trace,
-        }
-    }
-}
-
-/// Mutable execution state of one run.
-struct Runner {
-    nets: Vec<u64>,
-    stored: Vec<u64>,
-    /// Frozen/previous ALU operands, indexed by component.
-    alu_a: Vec<u64>,
-    alu_b: Vec<u64>,
-    activity: Activity,
-    mask: u64,
-    width: u8,
-    /// Running totals feeding O(1) per-step profile deltas.
-    net_total: u64,
-    input_total: u64,
-    clock_total: u64,
-    store_total: u64,
-}
-
-impl Runner {
-    #[inline]
-    fn set_net(&mut self, net: u32, value: u64) {
-        let value = value & self.mask;
-        let old = self.nets[net as usize];
-        if old != value {
-            let flips = (old ^ value).count_ones() as u64;
-            self.activity.net_toggles[net as usize] += flips;
-            self.net_total += flips;
-            self.nets[net as usize] = value;
-        }
-    }
-
-    #[inline]
-    fn exec(&mut self, instr: Instr) {
-        match instr {
-            Instr::Copy { src, dst } => {
-                let v = self.nets[src as usize];
-                self.set_net(dst, v);
-            }
-            Instr::Alu {
-                comp,
-                a,
-                b,
-                dst,
-                op,
-                fn_delta,
-            } => {
-                let a_val = self.nets[a as usize];
-                let b_val = self.nets[b as usize];
-                let slot = comp as usize;
-                let toggled = (self.alu_a[slot] ^ a_val).count_ones() as u64
-                    + (self.alu_b[slot] ^ b_val).count_ones() as u64
-                    + fn_delta;
-                self.activity.input_toggles[slot] += toggled;
-                self.input_total += toggled;
-                self.alu_a[slot] = a_val;
-                self.alu_b[slot] = b_val;
-                let out = op.apply(a_val, b_val, self.width);
-                self.set_net(dst, out);
-            }
-            Instr::AluFrozen { comp, dst, op } => {
-                let slot = comp as usize;
-                let out = op.apply(self.alu_a[slot], self.alu_b[slot], self.width);
-                self.set_net(dst, out);
-            }
+            ..run.into_sim_result(self.netlist)
         }
     }
 }

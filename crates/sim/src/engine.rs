@@ -22,9 +22,10 @@
 //!
 //! Two execution backends implement these semantics (see [`SimBackend`]):
 //! the original interpreter in this module, kept as the readable reference
-//! implementation, and the compiled kernel in
-//! [`compiled`](crate::compiled), which lowers the netlist once into a
-//! dense index-addressed program and is the default everywhere.
+//! implementation, and the compiled backend, the default everywhere, which
+//! lowers the netlist once into dense index-addressed step programs
+//! ([`compiled`](crate::compiled)) and runs them as a one-lane batch of
+//! the batched kernel ([`batched`](crate::batched)).
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -40,24 +41,19 @@ use crate::compiled::CompiledNetlist;
 /// The execution backend running a simulation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum SimBackend {
-    /// The dense index-addressed kernel ([`CompiledNetlist`]): a one-time
-    /// lowering pays for levelization, periodic control precomputation and
-    /// slot indexing, then every step runs allocation-free. Bit-identical
-    /// to the interpreter; the default.
+    /// The compiled kernel: a one-time lowering ([`CompiledNetlist`]) pays
+    /// for levelization, periodic control precomputation, slot indexing
+    /// and quiet-instruction pruning, then the run executes as a one-lane
+    /// batch of the batched kernel ([`BatchedProgram`]), the same step
+    /// loop Monte-Carlo populations use. Bit-identical to the
+    /// interpreter; the default.
+    ///
+    /// [`BatchedProgram`]: crate::BatchedProgram
     #[default]
     Compiled,
     /// The original map-driven interpreter — the reference implementation
     /// the compiled kernel is differentially tested against.
     Interpreter,
-}
-
-impl fmt::Display for SimBackend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimBackend::Compiled => write!(f, "compiled"),
-            SimBackend::Interpreter => write!(f, "interpreter"),
-        }
-    }
 }
 
 /// Errors binding a simulation to its stimulus.
@@ -101,11 +97,6 @@ pub struct SimConfig {
     /// Record per-step aggregate activity counters (cheap; enables
     /// power-over-time profiles).
     pub collect_profile: bool,
-    /// Keep the applied input vectors in [`SimResult::inputs`]. Off by
-    /// default — table runs never read them back, and cloning every vector
-    /// into the result was pure overhead. Tracing implies keeping them
-    /// (a trace without its stimulus is not reproducible).
-    pub keep_inputs: bool,
     /// The execution backend.
     pub backend: SimBackend,
 }
@@ -121,7 +112,6 @@ impl SimConfig {
             seed,
             collect_trace: false,
             collect_profile: false,
-            keep_inputs: false,
             backend: SimBackend::default(),
         }
     }
@@ -140,13 +130,6 @@ impl SimConfig {
         self
     }
 
-    /// Keeps the applied input vectors in the result.
-    #[must_use]
-    pub fn with_inputs_kept(mut self) -> Self {
-        self.keep_inputs = true;
-        self
-    }
-
     /// Selects the execution backend.
     #[must_use]
     pub fn with_backend(mut self, backend: SimBackend) -> Self {
@@ -161,8 +144,8 @@ pub struct SimResult {
     /// Switching activity counters.
     pub activity: Activity,
     /// The input vector applied to each computation (name → value).
-    /// Populated only when the configuration keeps inputs
-    /// ([`SimConfig::with_inputs_kept`]) or traces; empty otherwise.
+    /// Populated only for traced runs ([`SimConfig::with_trace`]), since
+    /// a trace without its stimulus is not reproducible; empty otherwise.
     pub inputs: Vec<BTreeMap<String, u64>>,
     /// The output values observed at the end of each computation
     /// (name → value).
@@ -270,8 +253,8 @@ pub(crate) fn width_mask(width: u8) -> u64 {
     (1u64 << width) - 1
 }
 
-/// Runs bound inputs through the configured backend and fills the
-/// kept-inputs field when requested.
+/// Runs bound inputs through the configured backend; traced runs keep
+/// their input vectors.
 fn run_bound(netlist: &Netlist, bound: &BoundInputs, config: &SimConfig) -> SimResult {
     let mut result = match config.backend {
         SimBackend::Interpreter => Engine::new(netlist, config.mode).run(
@@ -279,14 +262,13 @@ fn run_bound(netlist: &Netlist, bound: &BoundInputs, config: &SimConfig) -> SimR
             config.collect_trace,
             config.collect_profile,
         ),
-        SimBackend::Compiled => CompiledNetlist::compile(netlist, config.mode).run(
+        SimBackend::Compiled => CompiledNetlist::compile(netlist, config.mode).simulate_bound(
             bound,
             config.collect_trace,
             config.collect_profile,
-            true,
         ),
     };
-    if config.keep_inputs || config.collect_trace {
+    if config.collect_trace {
         result.inputs = bound.to_vectors(netlist);
     }
     result
@@ -300,7 +282,7 @@ pub fn simulate(netlist: &Netlist, config: &SimConfig) -> SimResult {
 }
 
 /// Simulates `netlist` over explicit input vectors under full
-/// configuration control (backend, tracing, profiling, kept inputs).
+/// configuration control (backend, tracing, profiling).
 /// `config.computations` and `config.seed` are ignored — the vectors *are*
 /// the stimulus.
 ///

@@ -243,12 +243,8 @@ mod tests {
         let a = simulate_with_inputs(&nl, PowerMode::gated(), std::slice::from_ref(&vec), false);
         let b = simulate_with_inputs(&nl, PowerMode::gated(), std::slice::from_ref(&vec), false);
         assert_eq!(a.outputs, b.outputs);
-        // Input vectors are no longer cloned into the result by default…
+        // Untraced runs do not clone their input vectors into the result.
         assert!(a.inputs.is_empty());
-        // …but an opt-in keeps them, round-tripped through the binding.
-        let cfg = SimConfig::new(PowerMode::gated(), 1, 0).with_inputs_kept();
-        let kept = simulate_with_config(&nl, std::slice::from_ref(&vec), &cfg).unwrap();
-        assert_eq!(kept.inputs, vec![vec]);
     }
 
     #[test]

@@ -174,9 +174,10 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # Benchmark smoke: perfbench/ (a Cargo workspace of its own, so the
 # workspace stages above never build it) names library items, so an API
 # change that breaks the repository benchmark fails here. Its self-tests
-# run, then one untraced and one traced retrofit_mc run, then two traced
-# paper_eval runs; each run's last line must report every output check
-# correct and no failed operation, and the two paper_eval runs must print
+# run, then one untraced and one traced retrofit_mc run, one untraced
+# serve_eval run, then two traced paper_eval runs; each run's last line
+# must report every output check correct and no failed operation, so
+# every workload of BENCHMARK.json runs. The two paper_eval runs must print
 # byte-identical exact-counts lines (the table path's simulated work is
 # deterministic). No timing is gated. perfbench writes .perfbench_work/
 # in its working directory, so every run starts in the scratch directory.
@@ -193,6 +194,7 @@ perfbench_smoke() { # workload trace out-file
 }
 perfbench_smoke retrofit_mc 0 "$SMOKE_DIR/perfbench.out"
 perfbench_smoke retrofit_mc 1 "$SMOKE_DIR/perfbench.out"
+perfbench_smoke serve_eval 0 "$SMOKE_DIR/perfbench.out"
 for pass in 1 2; do
     perfbench_smoke paper_eval 1 "$SMOKE_DIR/paper_eval.$pass.out"
     grep '^exact-counts ' "$SMOKE_DIR/paper_eval.$pass.out" > "$SMOKE_DIR/paper_eval.$pass.counts" \

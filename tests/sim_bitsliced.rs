@@ -1,10 +1,10 @@
 //! Differential tests for the bit-sliced (bit-plane) kernel: every seed
-//! of a bit-sliced population must be bit-identical to a scalar compiled
-//! run with the same seed — activity counters, per-step profiles and
-//! outputs — across every built-in benchmark and a random DFG, power
-//! mode, clock count and allocation strategy, including partial
-//! populations handled by the tail mask and populations spanning several
-//! 64-seed sweeps.
+//! of a bit-sliced population must be bit-identical to a single-seed
+//! compiled run (a one-lane batch) with the same seed — activity
+//! counters, per-step profiles and outputs — across every built-in
+//! benchmark and a random DFG, power mode, clock count and allocation
+//! strategy, including partial populations handled by the tail mask and
+//! populations spanning several 64-seed sweeps.
 //!
 //! This is the determinism contract that lets the Monte-Carlo estimator,
 //! the explorer and the retrofit verifier switch backends freely: the
@@ -39,8 +39,8 @@ fn modes() -> [PowerMode; 3] {
     ]
 }
 
-/// Scalar compiled reference run with profiling, the baseline every seed
-/// is held to.
+/// Single-seed compiled reference run with profiling, the baseline every
+/// seed is held to.
 fn scalar_reference(
     netlist: &Netlist,
     mode: PowerMode,
