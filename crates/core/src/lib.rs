@@ -36,8 +36,8 @@
 //!
 //! The [`experiment`] module regenerates every paper table
 //! ([`experiment::paper_table`], or [`experiment::paper_table_parallel`]
-//! on scoped threads) and the ablations; the `mc-bench` crate wraps them
-//! in runnable binaries.
+//! on scoped threads) and the ablations; `mcpm paper` prints them all as
+//! one pinned record.
 //!
 //! # The pass pipeline
 //!

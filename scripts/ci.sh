@@ -36,6 +36,18 @@ explore_smoke() {
 }
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
+
+# Paper record smoke: the release binary must print the pinned record on
+# every run. The debug test build checks the same golden (tests/paper.rs),
+# so this also holds release and debug builds to the same bytes.
+echo "==> paper record smoke: release output == golden, run to run"
+./target/release/mcpm paper > "$SMOKE_DIR/paper.a.jsonl"
+./target/release/mcpm paper > "$SMOKE_DIR/paper.b.jsonl"
+cmp "$SMOKE_DIR/paper.a.jsonl" "$SMOKE_DIR/paper.b.jsonl" \
+    || { echo "ci.sh: mcpm paper output differs between runs" >&2; exit 1; }
+cmp "$SMOKE_DIR/paper.a.jsonl" tests/golden/paper.jsonl \
+    || { echo "ci.sh: mcpm paper output differs from tests/golden/paper.jsonl" >&2; exit 1; }
+
 explore_smoke facet "$SMOKE_DIR"
 explore_smoke hal "$SMOKE_DIR"
 

@@ -5,6 +5,7 @@
 //!
 //! ```text
 //! mcpm list
+//! mcpm paper
 //! mcpm eval    --benchmark hal [--computations 400] [--seed 42]
 //! mcpm synth   --benchmark hal --clocks 3 [--strategy integrated]
 //!              [--mem latch] [--export vhdl|dot|vcd] [--out FILE]
@@ -78,10 +79,12 @@ impl fmt::Display for CliError {
                 }
             }
             CliError::UnexpectedArgument { command, token } => {
-                write!(
-                    f,
-                    "unexpected argument `{token}`: `{command}` takes only `--flag [value]` pairs"
-                )
+                write!(f, "unexpected argument `{token}`: ")?;
+                if valid_flags(command).is_some_and(<[_]>::is_empty) {
+                    write!(f, "`{command}` takes no arguments")
+                } else {
+                    write!(f, "`{command}` takes only `--flag [value]` pairs")
+                }
             }
             CliError::InvalidValue {
                 flag,
@@ -111,7 +114,7 @@ impl From<&str> for CliError {
 fn valid_flags(command: &str) -> Option<&'static [&'static str]> {
     #[rustfmt::skip]
     let flags: &'static [&'static str] = match command {
-        "list" | "help" | "--help" | "-h" => &[],
+        "list" | "paper" | "help" | "--help" | "-h" => &[],
         "eval" => &["benchmark", "file", "computations", "seed", "json", "out", "trace"],
         "synth" => &["benchmark", "file", "computations", "seed", "clocks", "strategy",
                      "mem", "export", "out"],
@@ -235,10 +238,20 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// Boolean flag: present (bare or `--flag true`) unless set to
-    /// `false`.
-    fn is_set(&self, key: &str) -> bool {
-        matches!(self.get(key), Some(v) if v != "false")
+    /// Boolean flag: a bare `--flag` or `--flag true` is true, `--flag
+    /// false` is false, and an absent flag is `default`. Any other value
+    /// is rejected rather than read as either.
+    fn parse_bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
+        match self.get(key) {
+            None => Ok(default),
+            Some("true") => Ok(true),
+            Some("false") => Ok(false),
+            Some(v) => Err(CliError::InvalidValue {
+                flag: key.to_owned(),
+                value: v.to_owned(),
+                reason: "expected `true` or `false`, or the bare flag".to_owned(),
+            }),
+        }
     }
 
     /// Comma-separated list flag, e.g. `--voltages 4.65,3.3`.
@@ -310,6 +323,8 @@ fn usage() -> &'static str {
      \n\
      commands:\n\
      \x20 list                                   list bundled benchmarks\n\
+     \x20 paper                                  the paper's tables, figures and ablations as\n\
+     \x20         JSON lines, at 400 computations and seed 42 (tests/golden/paper.jsonl)\n\
      \x20 eval    --benchmark NAME | --file F    evaluate the five paper design styles\n\
      \x20 synth   --benchmark NAME | --file F    synthesise one design (--clocks N)\n\
      \x20         [--strategy conventional|split|integrated] [--mem latch|dff]\n\
@@ -461,7 +476,7 @@ fn parse_rewrites_count(args: &Args) -> Result<u32, CliError> {
 /// the million-point preset, then each dimension flag that is present
 /// overrides that dimension only.
 fn explore_space(args: &Args) -> Result<ExploreSpace, CliError> {
-    let mut space = if args.is_set("scale") {
+    let mut space = if args.parse_bool("scale", false)? {
         ExploreSpace::scale()
     } else {
         ExploreSpace::default()
@@ -553,8 +568,13 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             }
             Ok(())
         }
+        "paper" => {
+            let record = multiclock::paper::record().map_err(|e| e.to_string())?;
+            print!("{record}");
+            Ok(())
+        }
         "eval" => {
-            if args.is_set("json") {
+            if args.parse_bool("json", false)? {
                 return emit_api_json(
                     args,
                     &api::ApiRequest::Eval(api::EvalRequest {
@@ -618,7 +638,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
         }
         "sweep" => {
             let max: u32 = args.parse_num_at_least("max-clocks", 6, 1)?;
-            if args.is_set("json") {
+            if args.parse_bool("json", false)? {
                 return emit_api_json(
                     args,
                     &api::ApiRequest::Sweep(api::SweepRequest {
@@ -652,12 +672,14 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             // deadline, spill, the --scale preset) run locally; plain
             // `--json` runs go through the service API whose response
             // cache is a byte-identity contract with the local engine.
-            let local_only = args.is_set("scale")
-                || args.is_set("resume")
+            let json = args.parse_bool("json", false)?;
+            let timings = args.parse_bool("timings", false)?;
+            let local_only = args.parse_bool("scale", false)?
+                || args.parse_bool("resume", false)?
                 || ["cache-dir", "checkpoint", "deadline-ms", "spill"]
                     .iter()
                     .any(|f| args.get(f).is_some());
-            if args.is_set("json") && !args.is_set("timings") && !local_only {
+            if json && !timings && !local_only {
                 let budget = match args.get("budget") {
                     Some(_) => Some(args.parse_num_at_least("budget", 1, 1)?),
                     None => None,
@@ -686,7 +708,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
                         )?,
                         computations,
                         seed,
-                        parallel: !matches!(args.get("parallel"), Some("false")),
+                        parallel: args.parse_bool("parallel", true)?,
                         threads,
                         backend: args.parse_backend()?,
                     }),
@@ -700,7 +722,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
                 .with_power_seeds(args.parse_num_at_least("seeds", 1, 1)?)
                 .with_batch(args.parse_num_at_least("batch", multiclock::Flow::DEFAULT_BATCH, 1)?)
                 .with_batch_backend(args.parse_backend()?)
-                .with_parallel(!matches!(args.get("parallel"), Some("false")));
+                .with_parallel(args.parse_bool("parallel", true)?);
             if args.get("budget").is_some() {
                 explorer = explorer.with_budget(args.parse_num_at_least("budget", 1, 1)?);
             }
@@ -713,7 +735,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             if let Some(path) = args.get("checkpoint") {
                 explorer = explorer.with_checkpoint(path);
             }
-            if args.is_set("resume") {
+            if args.parse_bool("resume", false)? {
                 if args.get("checkpoint").is_none() {
                     return Err("--resume requires --checkpoint FILE".into());
                 }
@@ -726,18 +748,18 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
                 explorer = explorer.with_spill(path);
             }
             let report = explorer.run(&bm).map_err(|e| e.to_string())?;
-            if args.is_set("json") {
+            if json {
                 // The local deterministic document is byte-identical to
                 // the service's; `--timings` adds the wall-clock and
                 // cache fields the byte-identity contract leaves out.
-                return if args.is_set("timings") {
+                return if timings {
                     emit(args, &report.to_json_with_timings())
                 } else {
                     emit(args, &report.to_json())
                 };
             }
             let mut text = report.render_ranked();
-            if args.is_set("timings") {
+            if timings {
                 text.push('\n');
                 text.push_str(&report.render_timings());
             }
@@ -747,7 +769,8 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             use std::fmt::Write as _;
             let clocks: u32 = args.parse_num_at_least("clocks", 3, 2)?;
             let nseeds: usize = args.parse_num_at_least("seeds", 5, 1)?;
-            if args.is_set("json") && args.get("export").is_none() {
+            let parallel = args.parse_bool("parallel", true)?;
+            if args.parse_bool("json", false)? && args.get("export").is_none() {
                 return emit_api_json(
                     args,
                     &api::ApiRequest::Retrofit(api::RetrofitRequest {
@@ -756,7 +779,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
                         seeds: nseeds,
                         computations,
                         seed,
-                        parallel: !matches!(args.get("parallel"), Some("false")),
+                        parallel,
                         backend: args.parse_backend()?,
                     }),
                 );
@@ -788,7 +811,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             let opts = multiclock::retrofit::RetrofitOptions {
                 computations,
                 seeds: multiclock::power::derive_seeds(seed, nseeds),
-                parallel: !matches!(args.get("parallel"), Some("false")),
+                parallel,
                 backend: args.parse_backend()?,
                 ..Default::default()
             };
@@ -991,7 +1014,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             let path = args
                 .get("path")
                 .ok_or("missing --path (e.g. --path /healthz)")?;
-            let (method, body) = if args.is_set("get") {
+            let (method, body) = if args.parse_bool("get", false)? {
                 ("GET", "")
             } else {
                 ("POST", args.get("body").unwrap_or(""))
@@ -1020,7 +1043,7 @@ fn dispatch(args: &Args) -> Result<(), CliError> {
             let text =
                 std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
             let summary = TraceSummary::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
-            if args.is_set("counters") {
+            if args.parse_bool("counters", false)? {
                 print!("{}", summary.deterministic_json());
             } else {
                 print!("{}", summary.render());

@@ -8,6 +8,8 @@
 //!
 //! This crate re-exports the whole stack through [`mc_core`]; see the
 //! README for the architecture and `DESIGN.md` for the paper mapping.
+//! [`paper::record`] builds the reproduction record that `mcpm paper`
+//! prints.
 //!
 //! ```
 //! use multiclock::{DesignStyle, Synthesizer};
@@ -40,9 +42,11 @@ pub use mc_core::{alloc, clocks, dfg, power, rtl, sim, tech};
 /// The in-tree deterministic PRNGs (SplitMix64, xoshiro256**).
 pub use mc_prng as prng;
 
-/// The paper-regeneration support code: run configuration, the paper's
-/// published table rows, and the dependency-free JSON emitter.
+/// The paper's published table rows and the dependency-free JSON
+/// emitter.
 pub use mc_bench as bench;
+
+pub mod paper;
 
 /// Design-space exploration: lattice enumeration, deterministic parallel
 /// evaluation, Pareto frontiers.

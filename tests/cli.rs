@@ -415,6 +415,55 @@ fn stray_positional_arguments_are_rejected() {
 }
 
 #[test]
+fn paper_takes_no_flags_and_no_arguments() {
+    let (ok, _, stderr) = mcpm(&["paper", "--computations", "10"]);
+    assert!(!ok, "the record has one setting");
+    assert!(
+        stderr.contains("unknown flag `--computations` for `paper`; `paper` takes no flags"),
+        "{stderr}"
+    );
+    let (ok, _, stderr) = mcpm(&["paper", "table2"]);
+    assert!(!ok, "the record has no section selector");
+    assert!(
+        stderr.contains("unexpected argument `table2`: `paper` takes no arguments"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn boolean_flags_accept_only_true_or_false() {
+    for args in [
+        &["eval", "--benchmark", "hal", "--json", "no"][..],
+        &["explore", "--benchmark", "hal", "--parallel", "0"],
+        &["explore", "--benchmark", "hal", "--parallel", "no"],
+        &["retrofit", "--benchmark", "hal", "--parallel", "yes"],
+    ] {
+        let (ok, stdout, stderr) = mcpm(args);
+        assert!(!ok, "{args:?} must fail, printed {stdout}");
+        let (flag, value) = (&args[3][2..], args[4]);
+        assert!(
+            stderr.contains(&format!("invalid value `{value}` for --{flag}")),
+            "{args:?} → {stderr}"
+        );
+    }
+    // `false` reads as false: eval prints its text table, not JSON.
+    let (ok, stdout, _) = mcpm(&[
+        "eval",
+        "--benchmark",
+        "hal",
+        "--computations",
+        "20",
+        "--json",
+        "false",
+    ]);
+    assert!(ok);
+    assert!(
+        stdout.contains("3 Clocks") && !stdout.starts_with('{'),
+        "{stdout}"
+    );
+}
+
+#[test]
 fn trace_flag_writes_a_loadable_chrome_trace() {
     let dir = std::env::temp_dir().join("mcpm-cli-trace-test");
     std::fs::create_dir_all(&dir).unwrap();
