@@ -174,15 +174,29 @@ pub fn paper_table(
     computations: usize,
     seed: u64,
 ) -> Result<Table, SynthesisError> {
-    let flow = flow_for(bm, computations, seed);
+    paper_table_in(&flow_for(bm, computations, seed), bm.name())
+}
+
+/// [`paper_table`] against a caller-owned [`Flow`], so a long-lived
+/// consumer (the serve layer) can keep the flow's artifact cache warm
+/// across tables. The rows run sequentially on the calling thread.
+/// Bit-identical to the one-shot variant: cached artifacts are
+/// content-keyed and proven equal to recomputation.
+///
+/// # Errors
+///
+/// Propagates [`SynthesisError`] from any row.
+pub fn paper_table_in(flow: &Flow, benchmark: &str) -> Result<Table, SynthesisError> {
     let evaluated = flow.evaluate_styles(&DesignStyle::paper_rows())?;
-    Ok(Table::from_evaluated(bm.name().to_owned(), evaluated))
+    Ok(Table::from_evaluated(benchmark.to_owned(), evaluated))
 }
 
 /// [`paper_table`] with the rows evaluated concurrently on scoped
-/// threads. The result is bit-identical to the sequential table — each
-/// row is independently seeded — but the wall-clock is roughly the
-/// slowest row instead of the sum.
+/// threads, one per row. The result is bit-identical to the sequential
+/// table — each row is independently seeded — but the wall-clock is
+/// roughly the slowest row instead of the sum. For one-shot callers
+/// that own the machine (the CLI); a server already runs one request
+/// per worker.
 ///
 /// # Errors
 ///
@@ -192,20 +206,9 @@ pub fn paper_table_parallel(
     computations: usize,
     seed: u64,
 ) -> Result<Table, SynthesisError> {
-    paper_table_parallel_in(&flow_for(bm, computations, seed), bm.name())
-}
-
-/// [`paper_table_parallel`] against a caller-owned [`Flow`], so a
-/// long-lived consumer (the serve layer) can keep the flow's artifact
-/// cache warm across tables. Bit-identical to the one-shot variant: cached
-/// artifacts are content-keyed and proven equal to recomputation.
-///
-/// # Errors
-///
-/// Propagates [`SynthesisError`] from any row.
-pub fn paper_table_parallel_in(flow: &Flow, benchmark: &str) -> Result<Table, SynthesisError> {
+    let flow = flow_for(bm, computations, seed);
     let evaluated = flow.evaluate_styles_parallel(&DesignStyle::paper_rows())?;
-    Ok(Table::from_evaluated(benchmark.to_owned(), evaluated))
+    Ok(Table::from_evaluated(bm.name().to_owned(), evaluated))
 }
 
 /// Evaluates an arbitrary style set as one instrumented
@@ -247,14 +250,28 @@ pub fn clock_sweep(
     computations: usize,
     seed: u64,
 ) -> Result<Vec<(u32, DesignReport)>, SynthesisError> {
-    let flow = flow_for(bm, computations, seed);
+    clock_sweep_in(&flow_for(bm, computations, seed), max_clocks)
+}
+
+/// [`clock_sweep`] against a caller-owned [`Flow`] (see
+/// [`paper_table_in`] for why); the points run sequentially on the
+/// calling thread.
+///
+/// # Errors
+///
+/// Propagates [`SynthesisError`] from any configuration.
+pub fn clock_sweep_in(
+    flow: &Flow,
+    max_clocks: u32,
+) -> Result<Vec<(u32, DesignReport)>, SynthesisError> {
     (1..=max_clocks)
         .map(|n| Ok((n, flow.evaluate(DesignStyle::MultiClock(n))?)))
         .collect()
 }
 
 /// [`clock_sweep`] with the sweep points evaluated concurrently on
-/// scoped threads; bit-identical results.
+/// scoped threads, one per point; bit-identical results. For one-shot
+/// callers, like [`paper_table_parallel`].
 ///
 /// # Errors
 ///
@@ -265,19 +282,7 @@ pub fn clock_sweep_parallel(
     computations: usize,
     seed: u64,
 ) -> Result<Vec<(u32, DesignReport)>, SynthesisError> {
-    clock_sweep_parallel_in(&flow_for(bm, computations, seed), max_clocks)
-}
-
-/// [`clock_sweep_parallel`] against a caller-owned [`Flow`] (see
-/// [`paper_table_parallel_in`] for why).
-///
-/// # Errors
-///
-/// Propagates [`SynthesisError`] from any configuration.
-pub fn clock_sweep_parallel_in(
-    flow: &Flow,
-    max_clocks: u32,
-) -> Result<Vec<(u32, DesignReport)>, SynthesisError> {
+    let flow = flow_for(bm, computations, seed);
     let styles: Vec<DesignStyle> = (1..=max_clocks).map(DesignStyle::MultiClock).collect();
     let evaluated = flow.evaluate_styles_parallel(&styles)?;
     Ok(evaluated
@@ -411,10 +416,11 @@ pub fn stimulus_sensitivity(
     let flow = flow_for(bm, computations, seed);
     let design = flow.synthesize(style)?;
     let nl = &design.datapath.netlist;
+    let sheet = mc_power::PriceSheet::new(nl, flow.tech());
     let run = |stim: Stimulus| -> f64 {
         let vectors = stim.vectors(nl, computations, seed);
         let res = simulate_with_inputs(nl, design.mode, &vectors, false);
-        mc_power::estimate_power(nl, &res.activity, flow.tech()).total_mw
+        sheet.price(&res.activity).total_mw
     };
     Ok((
         run(Stimulus::UniformRandom),

@@ -128,8 +128,10 @@ type Job = Box<dyn FnOnce() + Send + 'static>;
 /// [`WorkerPool::join`]ing) the pool closes the queue, lets every already
 /// submitted job finish, and joins the workers — a graceful drain, never
 /// an abort. Each job runs under the usual `pool.task` span and
-/// `pool.tasks` counter, and workers flush their trace buffers before
-/// exiting (the same hand-off contract `run_indexed` documents). A
+/// `pool.tasks` counter, and workers flush their trace buffers after
+/// every job and before exiting (the same hand-off contract
+/// `run_indexed` documents), so a job's events are visible to
+/// `mc_trace::take` as soon as the job is done. A
 /// panicking job is caught and discarded so one bad request cannot shrink
 /// the pool.
 pub struct WorkerPool {
@@ -152,11 +154,18 @@ impl WorkerPool {
                         let job = receiver.lock().expect("pool queue lock").recv();
                         match job {
                             Ok(job) => {
-                                let _span = mc_trace::span("pool.task");
-                                mc_trace::count("pool.tasks", 1);
-                                // A panic must not kill the worker: the
-                                // pool outlives any single job.
-                                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                                {
+                                    let _span = mc_trace::span("pool.task");
+                                    mc_trace::count("pool.tasks", 1);
+                                    // A panic must not kill the worker: the
+                                    // pool outlives any single job.
+                                    let _ =
+                                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
+                                }
+                                // Hand the job's events off now: a worker
+                                // of a long-lived pool may not exit before
+                                // the consumer reads the trace.
+                                mc_trace::flush();
                             }
                             Err(_) => break, // queue closed: drain complete
                         }

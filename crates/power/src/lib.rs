@@ -40,5 +40,5 @@ pub mod timing;
 pub use model::{
     clock_generator_overhead, derive_seeds, estimate_area, estimate_power, evaluate_design,
     evaluate_design_monte_carlo, evaluate_design_with_activity, per_component_power, per_dpm_power,
-    AreaReport, ComponentPower, DesignReport, PowerCi, PowerReport,
+    AreaReport, ComponentPower, DesignReport, PowerCi, PowerReport, PriceSheet,
 };

@@ -115,85 +115,159 @@ impl fmt::Display for AreaReport {
 /// flips load wire plus receiver input capacitance, ALU input activity
 /// scales the ALU's internal capacitance, memory elements pay per clock
 /// pulse and per stored-bit flip, and control lines pay per toggle.
+///
+/// This builds a [`PriceSheet`] and prices one activity with it; to
+/// price several activities of one design, build the sheet once.
 #[must_use]
 pub fn estimate_power(netlist: &Netlist, activity: &Activity, lib: &TechLibrary) -> PowerReport {
-    let width = netlist.width();
-    let w = f64::from(width);
-    let steps = activity.steps.max(1) as f64;
+    PriceSheet::new(netlist, lib).price(activity)
+}
 
-    let mut clock_pj = 0.0;
-    let mut storage_pj = 0.0;
-    let mut alu_pj = 0.0;
-    let mut mux_pj = 0.0;
-    let mut wire_pj = 0.0;
+/// The seed-independent half of pricing one design under one library:
+/// the energy of each event the simulator counts, so that pricing an
+/// [`Activity`] is one multiply-add per counter.
+///
+/// The paper prices a design as `P = f·C_L·V²` (§5.1): every `C_L`
+/// belongs to the netlist and only the transition counts come from the
+/// stimulus. The sheet holds each net's toggle energy (wire capacitance
+/// at its fanout plus the input capacitance of its receivers), each
+/// ALU's full-swing internal energy, each mux's and memory element's
+/// per-event energies, the controller's energies and the static power.
+/// [`PriceSheet::price`] then performs the same floating-point
+/// operations in the same order as pricing from scratch, so its reports
+/// are bit-identical to [`estimate_power`]'s.
+#[derive(Debug, Clone)]
+pub struct PriceSheet<'lib> {
+    lib: &'lib TechLibrary,
+    /// Twice the datapath width: all `2·w` ALU input bits toggling
+    /// switch the full internal capacitance once.
+    two_w: f64,
+    /// Energy (pJ) of one bit flip on each net, by net index.
+    net_pj: Vec<f64>,
+    /// `(component index, full-swing internal energy)` per ALU, in id order.
+    alus: Vec<(usize, f64)>,
+    /// `(output net index, internal toggle energy)` per mux, in id order.
+    muxes: Vec<(usize, f64)>,
+    /// `(component index, clock-pulse energy, stored-bit toggle energy)`
+    /// per memory element, in id order.
+    mems: Vec<(usize, f64, f64)>,
+    /// Energy of one control-line toggle.
+    control_toggle_pj: f64,
+    /// Energy of one controller clock pulse.
+    controller_pulse_pj: f64,
+    /// Leakage over the base (non-gated) layout area.
+    static_mw: f64,
+}
 
-    // Receiver input capacitance per bit of each net.
-    let mut receiver_cap = vec![0.0f64; netlist.num_nets()];
-    for c in netlist.component_ids() {
-        let comp = netlist.component(c);
-        let per_bit = match comp.kind() {
-            ComponentKind::Alu { .. } => lib.alu_port_cap_per_bit(),
-            ComponentKind::Mux { .. } => lib.mux_input_cap_per_bit(),
-            ComponentKind::Mem { .. } => lib.mem_input_cap_per_bit(),
-            ComponentKind::Const { .. } | ComponentKind::Input => 0.0,
-        };
-        for n in comp.data_inputs() {
-            receiver_cap[n.index()] += per_bit;
+impl<'lib> PriceSheet<'lib> {
+    /// Prices every event class of `netlist` under `lib`.
+    #[must_use]
+    pub fn new(netlist: &Netlist, lib: &'lib TechLibrary) -> PriceSheet<'lib> {
+        let width = netlist.width();
+        // Receiver input capacitance per bit of each net: a component
+        // reading one net on two inputs loads it twice.
+        let mut receiver_cap = vec![0.0f64; netlist.num_nets()];
+        for comp in netlist.components() {
+            let per_bit = match comp.kind() {
+                ComponentKind::Alu { .. } => lib.alu_port_cap_per_bit(),
+                ComponentKind::Mux { .. } => lib.mux_input_cap_per_bit(),
+                ComponentKind::Mem { .. } => lib.mem_input_cap_per_bit(),
+                ComponentKind::Const { .. } | ComponentKind::Input => 0.0,
+            };
+            for n in comp.data_inputs() {
+                receiver_cap[n.index()] += per_bit;
+            }
+        }
+        let net_pj = netlist
+            .net_ids()
+            .map(|n| {
+                let fanout = netlist.receivers_of(n).len();
+                lib.toggle_energy(lib.wire_cap_per_bit(fanout) + receiver_cap[n.index()])
+            })
+            .collect();
+        let (mut alus, mut muxes, mut mems) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, comp) in netlist.components().iter().enumerate() {
+            match comp.kind() {
+                ComponentKind::Alu { fs, .. } => {
+                    alus.push((i, lib.full_swing_energy(lib.alu_internal_cap(*fs, width))));
+                }
+                ComponentKind::Mux { inputs } => muxes.push((
+                    comp.output().index(),
+                    lib.toggle_energy(lib.mux_internal_cap_per_bit(inputs.len())),
+                )),
+                ComponentKind::Mem { kind, .. } => mems.push((
+                    i,
+                    lib.full_swing_energy(lib.mem_clock_cap(*kind, width)),
+                    lib.toggle_energy(lib.mem_store_cap_per_bit(*kind)),
+                )),
+                ComponentKind::Const { .. } | ComponentKind::Input => {}
+            }
+        }
+        // Leakage over the base layout area (power-management overhead
+        // cells are excluded here; their leakage is second-order of
+        // second-order).
+        let base_area = estimate_area(netlist, PowerMode::non_gated(), lib).total_lambda2;
+        PriceSheet {
+            lib,
+            two_w: 2.0 * f64::from(width),
+            net_pj,
+            alus,
+            muxes,
+            mems,
+            control_toggle_pj: lib.toggle_energy(lib.controller_cap_per_toggle()),
+            controller_pulse_pj: lib.full_swing_energy(lib.controller_clock_cap()),
+            static_mw: lib.static_power_mw(base_area),
         }
     }
-    for n in netlist.net_ids() {
-        let fanout = netlist.receivers_of(n).len();
-        let cap_bit = lib.wire_cap_per_bit(fanout) + receiver_cap[n.index()];
-        wire_pj += activity.net_toggles[n.index()] as f64 * lib.toggle_energy(cap_bit);
-    }
 
-    for c in netlist.component_ids() {
-        let comp = netlist.component(c);
-        match comp.kind() {
-            ComponentKind::Alu { fs, .. } => {
-                // When all 2·w input bits toggle, the full internal
-                // capacitance switches once.
-                let frac = activity.input_toggles[c.index()] as f64 / (2.0 * w);
-                alu_pj += frac * lib.full_swing_energy(lib.alu_internal_cap(*fs, width));
-            }
-            ComponentKind::Mux { inputs } => {
-                mux_pj += activity.net_toggles[comp.output().index()] as f64
-                    * lib.toggle_energy(lib.mux_internal_cap_per_bit(inputs.len()));
-            }
-            ComponentKind::Mem { kind, .. } => {
-                clock_pj += activity.clock_pulses[c.index()] as f64
-                    * lib.full_swing_energy(lib.mem_clock_cap(*kind, width));
-                storage_pj += activity.store_toggles[c.index()] as f64
-                    * lib.toggle_energy(lib.mem_store_cap_per_bit(*kind));
-            }
-            ComponentKind::Const { .. } | ComponentKind::Input => {}
+    /// Prices one simulation's switching activity into average power.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `activity` was counted on a netlist with fewer nets or
+    /// components than the one this sheet prices.
+    #[must_use]
+    pub fn price(&self, activity: &Activity) -> PowerReport {
+        let steps = activity.steps.max(1) as f64;
+        let mut wire_pj = 0.0;
+        for (n, &pj) in self.net_pj.iter().enumerate() {
+            wire_pj += activity.net_toggles[n] as f64 * pj;
         }
-    }
+        let mut alu_pj = 0.0;
+        for &(c, pj) in &self.alus {
+            let frac = activity.input_toggles[c] as f64 / self.two_w;
+            alu_pj += frac * pj;
+        }
+        let mut mux_pj = 0.0;
+        for &(out, pj) in &self.muxes {
+            mux_pj += activity.net_toggles[out] as f64 * pj;
+        }
+        let (mut clock_pj, mut storage_pj) = (0.0, 0.0);
+        for &(c, pulse_pj, store_pj) in &self.mems {
+            clock_pj += activity.clock_pulses[c] as f64 * pulse_pj;
+            storage_pj += activity.store_toggles[c] as f64 * store_pj;
+        }
+        let control_pj = activity.control_toggles as f64 * self.control_toggle_pj
+            + activity.controller_pulses as f64 * self.controller_pulse_pj;
 
-    let control_pj = activity.control_toggles as f64
-        * lib.toggle_energy(lib.controller_cap_per_toggle())
-        + activity.controller_pulses as f64 * lib.full_swing_energy(lib.controller_clock_cap());
-
-    let to_mw = |pj: f64| lib.power_mw(pj / steps);
-    let clock_mw = to_mw(clock_pj);
-    let storage_mw = to_mw(storage_pj);
-    let alu_mw = to_mw(alu_pj);
-    let mux_mw = to_mw(mux_pj);
-    let wire_mw = to_mw(wire_pj);
-    let control_mw = to_mw(control_pj);
-    // Leakage over the base layout area (power-management overhead cells
-    // are excluded here; their leakage is second-order of second-order).
-    let base_area = estimate_area(netlist, PowerMode::non_gated(), lib).total_lambda2;
-    let static_mw = lib.static_power_mw(base_area);
-    PowerReport {
-        total_mw: clock_mw + storage_mw + alu_mw + mux_mw + wire_mw + control_mw + static_mw,
-        clock_mw,
-        storage_mw,
-        alu_mw,
-        mux_mw,
-        wire_mw,
-        control_mw,
-        static_mw,
+        let to_mw = |pj: f64| self.lib.power_mw(pj / steps);
+        let clock_mw = to_mw(clock_pj);
+        let storage_mw = to_mw(storage_pj);
+        let alu_mw = to_mw(alu_pj);
+        let mux_mw = to_mw(mux_pj);
+        let wire_mw = to_mw(wire_pj);
+        let control_mw = to_mw(control_pj);
+        let static_mw = self.static_mw;
+        PowerReport {
+            total_mw: clock_mw + storage_mw + alu_mw + mux_mw + wire_mw + control_mw + static_mw,
+            clock_mw,
+            storage_mw,
+            alu_mw,
+            mux_mw,
+            wire_mw,
+            control_mw,
+            static_mw,
+        }
     }
 }
 
@@ -454,8 +528,10 @@ pub fn evaluate_design_with_activity(
 /// over the seeds (pricing is linear in the counters, so this equals
 /// pricing the mean activity), and [`DesignReport::power_ci`] carries
 /// the mean, sample standard deviation and 95 % CI half-width of the
-/// per-seed totals. Area, resource stats and timing are seed-independent
-/// and evaluated once.
+/// per-seed totals. Everything seed-independent is evaluated once: one
+/// [`PriceSheet`] prices all the seeds, each exactly as
+/// [`estimate_power`] would, and area, resource stats and timing are
+/// computed once for the report.
 ///
 /// With a single activity this degenerates to
 /// [`evaluate_design_with_activity`] plus a zero-width interval.
@@ -474,10 +550,8 @@ pub fn evaluate_design_monte_carlo(
         !activities.is_empty(),
         "Monte-Carlo evaluation needs at least one seed's activity"
     );
-    let reports: Vec<PowerReport> = activities
-        .iter()
-        .map(|a| estimate_power(netlist, a, lib))
-        .collect();
+    let sheet = PriceSheet::new(netlist, lib);
+    let reports: Vec<PowerReport> = activities.iter().map(|a| sheet.price(a)).collect();
     let n = reports.len() as f64;
     let avg = |f: fn(&PowerReport) -> f64| reports.iter().map(f).sum::<f64>() / n;
     let power = PowerReport {

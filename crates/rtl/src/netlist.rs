@@ -115,11 +115,57 @@ pub struct Netlist {
     components: Vec<Component>,
     net_names: Vec<String>,
     net_driver: Vec<CompId>,
+    receivers: Receivers,
     controller: Controller,
     inputs: Vec<(String, CompId)>,
     outputs: Vec<(String, NetId)>,
     comb_order: Vec<CompId>,
     path_index: BTreeMap<Path, CompId>,
+}
+
+/// The receivers index: for every net, the distinct components reading
+/// it, in id order, stored flat. Net `n`'s receivers are
+/// `comps[start[n]..start[n + 1]]`.
+#[derive(Debug, Clone, PartialEq)]
+struct Receivers {
+    start: Vec<u32>,
+    comps: Vec<CompId>,
+}
+
+impl Receivers {
+    /// Indexes `components` over `nets` nets. A component reading one net
+    /// on several inputs (a mux selecting it twice, an ALU with `a == b`)
+    /// is listed once. Every data input must be below `nets`.
+    fn build(components: &[Component], nets: usize) -> Receivers {
+        let distinct = |comp: &Component| {
+            let mut inputs = comp.data_inputs();
+            inputs.sort_unstable();
+            inputs.dedup();
+            inputs
+        };
+        let mut start = vec![0u32; nets + 1];
+        for comp in components {
+            for n in distinct(comp) {
+                start[n.index() + 1] += 1;
+            }
+        }
+        for i in 0..nets {
+            start[i + 1] += start[i];
+        }
+        let mut fill: Vec<u32> = start[..nets].to_vec();
+        let mut comps = vec![CompId(0); start[nets] as usize];
+        for (i, comp) in components.iter().enumerate() {
+            for n in distinct(comp) {
+                comps[fill[n.index()] as usize] = CompId(i as u32);
+                fill[n.index()] += 1;
+            }
+        }
+        Receivers { start, comps }
+    }
+
+    fn of(&self, n: NetId) -> &[CompId] {
+        &self.comps[self.start[n.index()] as usize..self.start[n.index() + 1] as usize]
+    }
 }
 
 impl Netlist {
@@ -235,12 +281,16 @@ impl Netlist {
         self.net_driver[n.index()]
     }
 
-    /// The components reading net `n` (receivers), in id order.
+    /// The components reading net `n` (receivers), in id order, each
+    /// listed once however many of its inputs read `n`. An O(1) lookup
+    /// into the index [`NetlistBuilder::finish`] builds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` does not belong to this netlist.
     #[must_use]
-    pub fn receivers_of(&self, n: NetId) -> Vec<CompId> {
-        self.component_ids()
-            .filter(|&c| self.component(c).data_inputs().contains(&n))
-            .collect()
+    pub fn receivers_of(&self, n: NetId) -> &[CompId] {
+        self.receivers.of(n)
     }
 
     /// The controller FSM.
@@ -669,43 +719,39 @@ impl NetlistBuilder {
             }
         }
         // Combinational topological order (Kahn); mem/const/input outputs
-        // are sources.
+        // are sources. In-degrees count distinct input nets, matching the
+        // receivers index, which lists each reader of a net once.
+        let receivers = Receivers::build(&self.components, nn);
+        let is_comb = |c: CompId| self.components[c.index()].is_combinational();
         let mut indeg = vec![0usize; nc];
-        for (i, comp) in self.components.iter().enumerate() {
-            if !comp.is_combinational() {
-                continue;
+        for (n, &d) in net_driver.iter().enumerate() {
+            if is_comb(d) {
+                for &r in receivers
+                    .of(NetId(n as u32))
+                    .iter()
+                    .filter(|&&r| is_comb(r))
+                {
+                    indeg[r.index()] += 1;
+                }
             }
-            indeg[i] = comp
-                .data_inputs()
-                .iter()
-                .filter(|n| {
-                    let d = net_driver[n.index()];
-                    self.components[d.index()].is_combinational()
-                })
-                .count();
         }
         let mut queue: Vec<usize> = (0..nc)
             .filter(|&i| self.components[i].is_combinational() && indeg[i] == 0)
             .collect();
         let mut comb_order = Vec::new();
         let mut head = 0;
-        // Receivers index for the decrement pass.
-        let mut receivers: Vec<Vec<usize>> = vec![Vec::new(); nn];
-        for (i, comp) in self.components.iter().enumerate() {
-            if comp.is_combinational() {
-                for n in comp.data_inputs() {
-                    receivers[n.index()].push(i);
-                }
-            }
-        }
         while head < queue.len() {
             let i = queue[head];
             head += 1;
             comb_order.push(CompId(i as u32));
-            for &r in &receivers[self.components[i].out.index()] {
-                indeg[r] -= 1;
-                if indeg[r] == 0 {
-                    queue.push(r);
+            for &r in receivers
+                .of(self.components[i].out)
+                .iter()
+                .filter(|&&r| is_comb(r))
+            {
+                indeg[r.index()] -= 1;
+                if indeg[r.index()] == 0 {
+                    queue.push(r.index());
                 }
             }
         }
@@ -745,6 +791,7 @@ impl NetlistBuilder {
             components: self.components,
             net_names: self.net_names,
             net_driver,
+            receivers,
             controller: self.controller,
             inputs: self.inputs,
             outputs: self.outputs,
@@ -799,6 +846,41 @@ mod tests {
         let recv = n.receivers_of(mem_out);
         assert_eq!(recv.len(), 1);
         assert!(n.component(recv[0]).is_mux());
+    }
+
+    #[test]
+    fn receivers_list_each_reader_once_in_id_order() {
+        // A mux reading `a` on two inputs and an ALU with `a == b`: each
+        // is one receiver of `a`, and a net read twice counts once in the
+        // combinational order's in-degrees too.
+        let scheme = ClockScheme::single();
+        let mut nb = NetlistBuilder::new("dup", 4, scheme, 1);
+        let (_, a) = nb.add_input("a");
+        let (_, b) = nb.add_input("b");
+        let (m, mout) = nb.add_mux(vec![a, b, a], "m");
+        let (alu, aout) = nb.add_alu(FunctionSet::single(Op::Add), a, a, "sq");
+        let (alu2, _) = nb.add_alu(FunctionSet::single(Op::Add), mout, mout, "dbl");
+        let (r, rout) = nb.add_mem(MemKind::Dff, PhaseId::new(1), "r");
+        nb.set_mem_input(r, aout);
+        nb.mark_output("y", rout);
+        let n = nb.finish().unwrap();
+        let scan = |net: NetId| -> Vec<CompId> {
+            n.component_ids()
+                .filter(|&c| n.component(c).data_inputs().contains(&net))
+                .collect()
+        };
+        for net in n.net_ids() {
+            assert_eq!(n.receivers_of(net), scan(net).as_slice(), "{net}");
+        }
+        assert_eq!(n.receivers_of(a), &[m.comp(), alu.comp()]);
+        assert_eq!(n.receivers_of(b), &[m.comp()]);
+        assert_eq!(n.receivers_of(mout), &[alu2.comp()]);
+        assert_eq!(n.receivers_of(aout), &[r.comp()]);
+        assert!(n.receivers_of(rout).is_empty());
+        assert_eq!(
+            n.combinational_order(),
+            &[m.comp(), alu.comp(), alu2.comp()]
+        );
     }
 
     #[test]

@@ -283,15 +283,15 @@ impl ApiRequest {
             ApiRequest::Eval(r) => {
                 let bm = r.design.load()?;
                 let flow = flows.flow_for(&bm, r.computations, r.seed);
-                let table = experiment::paper_table_parallel_in(&flow, bm.name())
-                    .map_err(|e| e.to_string())?;
+                let table =
+                    experiment::paper_table_in(&flow, bm.name()).map_err(|e| e.to_string())?;
                 Ok(table_json(&table, r.seed, r.computations))
             }
             ApiRequest::Sweep(r) => {
                 let bm = r.design.load()?;
                 let flow = flows.flow_for(&bm, r.computations, r.seed);
-                let sweep = experiment::clock_sweep_parallel_in(&flow, r.max_clocks)
-                    .map_err(|e| e.to_string())?;
+                let sweep =
+                    experiment::clock_sweep_in(&flow, r.max_clocks).map_err(|e| e.to_string())?;
                 let rows = json_array(sweep.iter().map(|(n, rep)| {
                     JsonObj::new()
                         .num("clocks", n)

@@ -113,6 +113,13 @@ cmp "$SMOKE_DIR/retro.a.json" "$SMOKE_DIR/retro.b.json" \
     || { echo "ci.sh: retrofit JSON differs between runs" >&2; exit 1; }
 cmp "$SMOKE_DIR/retro.a.json" "$SMOKE_DIR/retro.seq.json" \
     || { echo "ci.sh: retrofit JSON differs parallel vs sequential" >&2; exit 1; }
+# The release binary must also print the pinned report: line 4 of
+# tests/golden/retrofit_reports.jsonl is hal at 3 phases, 16 seeds and
+# 200 computations (the debug test build checks every line).
+./target/release/mcpm retrofit --benchmark hal --clocks 3 --seeds 16 \
+    --computations 200 --json > "$SMOKE_DIR/retro.hal3.json"
+sed -n 4p tests/golden/retrofit_reports.jsonl | cmp - "$SMOKE_DIR/retro.hal3.json" \
+    || { echo "ci.sh: retrofit JSON differs from tests/golden/retrofit_reports.jsonl" >&2; exit 1; }
 # The flat .mcnl export must also survive a file-based round trip.
 ./target/release/mcpm synth --benchmark facet --clocks 1 --strategy conventional \
     --export mcnl --out "$SMOKE_DIR/facet.mcnl" 2> /dev/null > /dev/null
@@ -140,7 +147,8 @@ cmp "$SMOKE_DIR/retro.a.json" "$SMOKE_DIR/retro.bs.json" \
 # Chrome trace_event schema (trace-summary parses and checks every
 # event), and the deterministic counter export must be bit-identical
 # across two runs — scheduling may move work between threads but never
-# change what gets computed.
+# change what gets computed. The second export puts the bare
+# `--counters` before the file, which must not swallow it.
 echo "==> trace smoke: schema + counter determinism"
 ./target/release/mcpm eval --benchmark hal --computations 40 \
     --trace "$SMOKE_DIR/t1.json" > /dev/null
@@ -150,7 +158,7 @@ echo "==> trace smoke: schema + counter determinism"
     || { echo "ci.sh: trace file failed schema validation" >&2; exit 1; }
 ./target/release/mcpm trace-summary "$SMOKE_DIR/t1.json" --counters \
     > "$SMOKE_DIR/t1.counters"
-./target/release/mcpm trace-summary "$SMOKE_DIR/t2.json" --counters \
+./target/release/mcpm trace-summary --counters "$SMOKE_DIR/t2.json" \
     > "$SMOKE_DIR/t2.counters"
 cmp "$SMOKE_DIR/t1.counters" "$SMOKE_DIR/t2.counters" \
     || { echo "ci.sh: trace counters differ between runs" >&2; exit 1; }
@@ -186,12 +194,14 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 # Benchmark smoke: perfbench/ (a Cargo workspace of its own, so the
 # workspace stages above never build it) names library items, so an API
 # change that breaks the repository benchmark fails here. Its self-tests
-# run, then one untraced and one traced retrofit_mc run, one untraced
-# serve_eval run, then two traced paper_eval runs; each run's last line
-# must report every output check correct and no failed operation, so
-# every workload of BENCHMARK.json runs. The two paper_eval runs must print
-# byte-identical exact-counts lines (the table path's simulated work is
-# deterministic). No timing is gated. perfbench writes .perfbench_work/
+# run, then one untraced and one traced retrofit_mc run, one untraced and
+# one traced serve_eval run, then two traced paper_eval runs; each run's
+# last line must report every output check correct and no failed
+# operation, so every workload of BENCHMARK.json runs. The traced
+# serve_eval counts must include the simulations that served requests
+# ran on the server's workers (`sim.runs`), and the two paper_eval runs
+# must print byte-identical exact-counts lines (the table path's
+# simulated work is deterministic). No timing is gated. perfbench writes .perfbench_work/
 # in its working directory, so every run starts in the scratch directory.
 PERFBENCH_MANIFEST="$(pwd)/perfbench/Cargo.toml"
 run cargo test -q --release --manifest-path "$PERFBENCH_MANIFEST"
@@ -207,6 +217,9 @@ perfbench_smoke() { # workload trace out-file
 perfbench_smoke retrofit_mc 0 "$SMOKE_DIR/perfbench.out"
 perfbench_smoke retrofit_mc 1 "$SMOKE_DIR/perfbench.out"
 perfbench_smoke serve_eval 0 "$SMOKE_DIR/perfbench.out"
+perfbench_smoke serve_eval 1 "$SMOKE_DIR/serve_eval.out"
+grep '^exact-counts ' "$SMOKE_DIR/serve_eval.out" | grep -q '"sim.runs":[1-9]' \
+    || { echo "ci.sh: traced perfbench serve_eval counts carry no sim.runs" >&2; exit 1; }
 for pass in 1 2; do
     perfbench_smoke paper_eval 1 "$SMOKE_DIR/paper_eval.$pass.out"
     grep '^exact-counts ' "$SMOKE_DIR/paper_eval.$pass.out" > "$SMOKE_DIR/paper_eval.$pass.counts" \

@@ -110,6 +110,15 @@ impl From<&str> for CliError {
     }
 }
 
+/// The flags [`Args::parse_bool`] reads, whichever subcommand accepts
+/// them. A boolean flag may stand bare, so it takes the next bare token
+/// as its value only when that token is `true` or `false`, or when the
+/// token cannot be the subcommand's positional argument (then `--json
+/// no` is still reported as an invalid value).
+const BOOLEAN_FLAGS: [&str; 7] = [
+    "counters", "get", "json", "parallel", "resume", "scale", "timings",
+];
+
 /// The flags each subcommand accepts. `None` → unknown subcommand.
 fn valid_flags(command: &str) -> Option<&'static [&'static str]> {
     #[rustfmt::skip]
@@ -193,10 +202,12 @@ impl Args {
         let mut flags = BTreeMap::new();
         let mut positional = Vec::new();
         let rest: Vec<String> = it.collect();
+        let takes_positional =
+            |positional: &[String]| command == "trace-summary" && positional.is_empty();
         let mut i = 0;
         while i < rest.len() {
             let Some(key) = rest[i].strip_prefix("--") else {
-                if command == "trace-summary" && positional.is_empty() {
+                if takes_positional(&positional) {
                     positional.push(rest[i].clone());
                     i += 1;
                     continue;
@@ -215,9 +226,16 @@ impl Args {
                 });
             }
             // `--flag value`, or a bare boolean `--flag` (next token is
-            // another flag or the end of the line).
+            // another flag, the end of the line, or a positional).
+            let boolean = BOOLEAN_FLAGS.contains(&key);
             match rest.get(i + 1) {
-                Some(v) if !v.starts_with("--") => {
+                Some(v)
+                    if !v.starts_with("--")
+                        && (!boolean
+                            || v == "true"
+                            || v == "false"
+                            || !takes_positional(&positional)) =>
+                {
                     flags.insert(key.to_owned(), v.clone());
                     i += 2;
                 }
@@ -242,6 +260,10 @@ impl Args {
     /// false` is false, and an absent flag is `default`. Any other value
     /// is rejected rather than read as either.
     fn parse_bool(&self, key: &str, default: bool) -> Result<bool, CliError> {
+        debug_assert!(
+            BOOLEAN_FLAGS.contains(&key),
+            "--{key} is read as a boolean, so the parser must know it as one"
+        );
         match self.get(key) {
             None => Ok(default),
             Some("true") => Ok(true),

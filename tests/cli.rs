@@ -464,6 +464,63 @@ fn boolean_flags_accept_only_true_or_false() {
 }
 
 #[test]
+fn boolean_flags_leave_a_following_positional_alone() {
+    let dir = std::env::temp_dir().join("mcpm-cli-bool-positional");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("eval.json");
+    let path_str = path.to_str().unwrap();
+    let (ok, _, stderr) = mcpm(&[
+        "eval",
+        "--benchmark",
+        "hal",
+        "--computations",
+        "20",
+        "--trace",
+        path_str,
+    ]);
+    assert!(ok, "{stderr}");
+    // The bare flag may come before or after the file, or carry an
+    // explicit `true`; all three read the same counters.
+    let (ok, after, stderr) = mcpm(&["trace-summary", path_str, "--counters"]);
+    assert!(ok, "{stderr}");
+    assert!(after.contains("\"sim.runs\":"), "{after}");
+    for args in [
+        &["trace-summary", "--counters", path_str][..],
+        &["trace-summary", "--counters", "true", path_str],
+    ] {
+        let (ok, stdout, stderr) = mcpm(args);
+        assert!(ok, "{args:?} → {stderr}");
+        assert_eq!(stdout, after, "{args:?}");
+    }
+    // `false` is still the flag's value, not the file.
+    let (ok, stdout, stderr) = mcpm(&["trace-summary", "--counters", "false", path_str]);
+    assert!(ok, "{stderr}");
+    assert!(!stdout.starts_with("{\"counters\""), "{stdout}");
+    // Where no positional is accepted, a stray value is still named as
+    // the flag's invalid value, and an explicit `false` still works.
+    let (ok, _, stderr) = mcpm(&["eval", "--benchmark", "hal", "--json", "no"]);
+    assert!(!ok);
+    assert!(stderr.contains("invalid value `no` for --json"), "{stderr}");
+    let (ok, stdout, stderr) = mcpm(&[
+        "retrofit",
+        "--benchmark",
+        "hal",
+        "--clocks",
+        "2",
+        "--seeds",
+        "2",
+        "--computations",
+        "20",
+        "--parallel",
+        "false",
+        "--json",
+    ]);
+    assert!(ok, "{stderr}");
+    assert!(stdout.starts_with('{'), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn trace_flag_writes_a_loadable_chrome_trace() {
     let dir = std::env::temp_dir().join("mcpm-cli-trace-test");
     std::fs::create_dir_all(&dir).unwrap();
